@@ -1,5 +1,12 @@
 """Command-line surface: intensity profiles, verification, state reports, sweeps.
 
+Each ``cmd_*`` returns its exit code, its text, the solution of its
+configuration (``closedform.solve``) when it made one, and its manifest
+fields. ``main`` writes the text to ``--out`` (stdout when it is not given)
+and, with ``--out``, the reproducibility record ``<out>.manifest.json``
+beside it, from that solution or, when the command made none, from one solve
+there. ``intensity`` thus solves once; ``sweep`` once per swept value.
+
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. CSV numbers use scientific notation with
 17 significant digits so outputs are byte-reproducible across runs.
@@ -8,22 +15,15 @@ verification failure, 4 I/O error. CSV numbers use scientific notation with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__, closedform, intensity, marking, verification
-from .params import (
-    ConfigError,
-    PhysicsConfig,
-    config_as_dict,
-    derive,
-    load_config,
-    validate_regime,
-)
+from .params import ConfigError, PhysicsConfig, config_as_dict, load_config, validate_regime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,12 +46,6 @@ def _load(args) -> PhysicsConfig:
     for warning in validate_regime(config):
         print(f"warning: {warning}", file=sys.stderr)
     return config
-
-
-def _coefficients(config: PhysicsConfig):
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
-    return derived, zt, closedform.build_coefficients(zt, config, derived)
 
 
 def _grid(args, coeffs) -> np.ndarray:
@@ -77,10 +71,10 @@ def _complex_pair(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
-def write_manifest(out_path, config: PhysicsConfig, command: str, extra: dict | None = None):
+def write_manifest(out_path, config: PhysicsConfig, solution: closedform.Solution, command: str, extra: dict):
     """Reproducibility record next to a data file: config echo, derived
     quantities, the full coefficient table, tool version, timestamp."""
-    derived, zt, coeffs = _coefficients(config)
+    derived = solution.derived
     manifest = {
         "tool": "eltsim",
         "version": __version__,
@@ -93,40 +87,29 @@ def write_manifest(out_path, config: PhysicsConfig, command: str, extra: dict | 
             "epsilon_s": derived.epsilon,
         },
         "ztable": {
-            name: _complex_pair(getattr(zt, name))
-            for name in ("z0", "z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "z9", "z10")
-        }
-        | {"gouy_zr": zt.gouy_zr, "gouy_zi": zt.gouy_zi},
-        "coefficients": {
-            "amplitude": coeffs.amplitude,
-            "c1": coeffs.c1,
-            "c2": coeffs.c2,
-            "c3": coeffs.c3,
-            "alpha": coeffs.alpha,
-            "gamma": coeffs.gamma,
-            "theta": coeffs.theta,
-            "mu": coeffs.mu,
+            name: _complex_pair(value) if isinstance(value, complex) else value
+            for name, value in dataclasses.asdict(solution.ztable).items()
         },
+        "coefficients": dataclasses.asdict(solution.coeffs),
     }
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     path = f"{out_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def branch_profile(branch: str, grid, config: PhysicsConfig, normalization: str):
+def branch_profile(branch: str, grid, config: PhysicsConfig, solution: closedform.Solution, normalization: str):
     """Screen profile for one named branch of the marked interferometer."""
     if branch == "elt":
-        _, _, coeffs = _coefficients(config)
-        return intensity.elt_intensity(grid, coeffs, normalization)
+        return intensity.elt_intensity(grid, solution.coeffs, normalization)
+    evaluators = intensity.solved_path_evaluators(config, solution.coeffs)
     if branch in ("ground", "full"):
         state = marking.post_slit_state(config)
         if branch == "full":
-            return intensity.branch_intensity(state, grid, config, normalization, label="full")
+            return intensity.branch_intensity(state, grid, config, normalization, evaluators, label="full")
         ground, _ = marking.measure_internal(state)
-        return intensity.branch_intensity(ground, grid, config, normalization, label="ground")
+        return intensity.branch_intensity(ground, grid, config, normalization, evaluators, label="ground")
     if branch in ("fringes", "antifringes"):
         a = complex(config.amp_nonexotic)
         marked = marking.CompositeState.from_unnormalized(
@@ -137,7 +120,7 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, normalization: str)
         )
         plus, minus = marking.eraser_basis_single_detector(marked)
         chosen = plus if branch == "fringes" else minus
-        return intensity.branch_intensity(chosen, grid, config, normalization, label=branch)
+        return intensity.branch_intensity(chosen, grid, config, normalization, evaluators, label=branch)
     raise ConfigError(f"unknown branch {branch!r}")
 
 
@@ -151,20 +134,15 @@ def profile_csv(profile: intensity.IntensityProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_intensity(args) -> int:
-    config = _load(args)
-    _, _, coeffs = _coefficients(config)
-    grid = _grid(args, coeffs)
+def cmd_intensity(args, config: PhysicsConfig):
+    solution = closedform.solve(config)
+    grid = _grid(args, solution.coeffs)
     normalization = "raw" if args.raw else "peak"
-    profile = branch_profile(args.branch, grid, config, normalization)
-    _write_text(args.out, profile_csv(profile))
-    if args.out is not None:
-        write_manifest(args.out, config, "intensity", {"branch": args.branch, "normalization": normalization})
-    return EXIT_OK
+    profile = branch_profile(args.branch, grid, config, solution, normalization)
+    return EXIT_OK, profile_csv(profile), solution, {"branch": args.branch, "normalization": normalization}
 
 
-def cmd_verify(args) -> int:
-    config = _load(args)
+def cmd_verify(args, config: PhysicsConfig):
     report = verification.full_verification(
         config,
         points=args.points,
@@ -179,13 +157,8 @@ def cmd_verify(args) -> int:
         if worst.detail:
             text += f", {worst.detail}"
         text += "\n"
-    _write_text(args.out, text)
-    if args.out is not None:
-        write_manifest(
-            args.out, config, "verify",
-            {"points": args.points, "tolerance": args.tolerance, "passed": report.passed},
-        )
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    code = EXIT_OK if report.passed else EXIT_VERIFY
+    return code, text, None, {"points": args.points, "tolerance": args.tolerance, "passed": report.passed}
 
 
 def _prob(p: float) -> str:
@@ -202,23 +175,19 @@ def _state_table(state: marking.CompositeState) -> list[str]:
     return lines
 
 
-def cmd_states(args) -> int:
-    config = _load(args)
+def cmd_states(args, config: PhysicsConfig):
     state = marking.post_slit_state(config)
     lines = ["post-slit composite state:"]
     lines += _state_table(state)
 
-    if args.measurement == "bell":
-        phi_plus, phi_minus, rest = marking.measure_bell_cavities(state)
-        lines.append("joint cavity measurement (Bell basis):")
-        for br in (phi_plus, phi_minus, rest):
-            lines.append(f" branch {br.name}: probability {_prob(br.probability)}")
-            if br.state is not None:
-                lines += _state_table(br.state)
-    elif args.measurement == "internal":
-        ground, excited = marking.measure_internal(state)
-        lines.append("atomic-level measurement:")
-        for br in (ground, excited):
+    measurements = {
+        "bell": ("joint cavity measurement (Bell basis):", marking.measure_bell_cavities),
+        "internal": ("atomic-level measurement:", marking.measure_internal),
+    }
+    if args.measurement in measurements:
+        title, measure = measurements[args.measurement]
+        lines.append(title)
+        for br in measure(state):
             lines.append(f" branch {br.name}: probability {_prob(br.probability)}")
             if br.state is not None:
                 lines += _state_table(br.state)
@@ -230,14 +199,10 @@ def cmd_states(args) -> int:
     lines.append("reduced center-of-mass weight matrix (paths " + ", ".join(paths) + "):")
     for row in mat:
         lines.append("  " + "  ".join(f"{w.real:+.12e}{w.imag:+.12e}j" for w in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.out is not None:
-        write_manifest(args.out, config, "states", {"measurement": args.measurement})
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n", None, {"measurement": args.measurement}
 
 
-def cmd_sweep(args) -> int:
-    config = _load(args)
+def cmd_sweep(args, config: PhysicsConfig):
     if args.parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {args.parameter!r}")
     lo, hi = args.range
@@ -249,8 +214,8 @@ def cmd_sweep(args) -> int:
 
     lines = ["param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad"]
     for value in values:
-        cfg = PhysicsConfig(**{**config_as_dict_for_override(config), args.parameter: float(value)})
-        derived, zt, coeffs = _coefficients(cfg)
+        solution = closedform.solve(dataclasses.replace(config, **{args.parameter: float(value)}))
+        coeffs = solution.coeffs
         spacing = intensity.fringe_spacing(coeffs)
         grid = intensity.default_grid(coeffs, points=801)
         profile = intensity.elt_intensity(grid, coeffs, "peak")
@@ -258,24 +223,11 @@ def cmd_sweep(args) -> int:
         lines.append(
             ",".join(
                 _fmt(v)
-                for v in (float(value), derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
+                for v in (float(value), solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
             )
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.out is not None:
-        write_manifest(
-            args.out, config, "sweep",
-            {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps},
-        )
-    return EXIT_OK
-
-
-def config_as_dict_for_override(config: PhysicsConfig) -> dict:
-    """Constructor kwargs of a config (complex weights kept complex)."""
-    out = config_as_dict(config)
-    out["amp_exotic"] = complex(out.pop("amp_exotic_re"), out.pop("amp_exotic_im"))
-    out["amp_nonexotic"] = complex(out.pop("amp_nonexotic_re"), out.pop("amp_nonexotic_im"))
-    return out
+    extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
+    return EXIT_OK, "\n".join(lines) + "\n", None, extra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,14 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (marking.StateError, intensity.ProfileError, closedform.DegenerateConfigError, ValueError) as exc:
+        config = _load(args)
+        code, text, solution, extra = args.func(args, config)
+        _write_text(args.out, text)
+        if args.out is not None:
+            write_manifest(args.out, config, solution or closedform.solve(config), args.command, extra)
+        return code
+    except ValueError as exc:  # ConfigError and every other named error subclass it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -13,7 +13,8 @@ Each coefficient of the final wavefunction
 is computed twice: from a compact complex expression (authoritative) and from
 the expanded real/imaginary component formulas (cross-check). Keeping both
 routes contains transcription errors; the verifier reports any per-term
-disagreement by name.
+disagreement by name. ``solve`` is the one place that turns a configuration
+into its derived kinematics, z-table and coefficients.
 
 Sign convention: the chain evaluator in :mod:`eltsim.gaussians` returns
 exactly ``CHAIN_SIGN`` times this closed form. The minus sign is the global
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicsConfig, DerivedQuantities
+from .params import DerivedQuantities, PhysicsConfig, derive
 
 # chain evaluation = CHAIN_SIGN * closed form (global phase, see module docstring)
 CHAIN_SIGN = -1.0
@@ -319,6 +320,22 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
     return coeffs
 
 
+@dataclass(frozen=True)
+class Solution:
+    """One configuration solved: derived kinematics, z-table, coefficients."""
+
+    derived: DerivedQuantities
+    ztable: ZTable
+    coeffs: EltCoefficients
+
+
+def solve(config: PhysicsConfig) -> Solution:
+    """derive -> build_ztable -> build_coefficients for one configuration."""
+    derived = derive(config)
+    zt = build_ztable(config, derived)
+    return Solution(derived, zt, build_coefficients(zt, config, derived))
+
+
 def psi12(x, coeffs: EltCoefficients):
     """Clockwise-loop wavefunction at screen position x (scalar or array)."""
     x = np.asarray(x, dtype=float)
@@ -332,9 +349,4 @@ def psi12(x, coeffs: EltCoefficients):
 def psi21(x, coeffs: EltCoefficients):
     """Counterclockwise loop: d -> -d flips the signs of C2 and gamma only,
     so psi21(x) = psi12(-x)."""
-    x = np.asarray(x, dtype=float)
-    out = coeffs.amplitude * np.exp(
-        -coeffs.c1 * x * x - coeffs.c2 * x + coeffs.c3
-        + 1j * (coeffs.alpha * x * x - coeffs.gamma * x + coeffs.theta + coeffs.mu)
-    )
-    return complex(out) if out.ndim == 0 else out
+    return psi12(-np.asarray(x, dtype=float), coeffs)

@@ -11,12 +11,12 @@ matching explicit minus, so all branch profiles are mutually consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedform, gaussians, marking
-from .params import PhysicsConfig, derive
+from .params import PhysicsConfig
 
 NORMALIZATIONS = ("raw", "peak", "area")
 
@@ -135,9 +135,11 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
 
 def path_evaluators(config: PhysicsConfig):
     """Pointwise amplitude evaluator for every path label."""
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
-    coeffs = closedform.build_coefficients(zt, config, derived)
+    return solved_path_evaluators(config, closedform.solve(config).coeffs)
+
+
+def solved_path_evaluators(config: PhysicsConfig, coeffs: closedform.EltCoefficients):
+    """``path_evaluators`` with the looped paths on already solved coefficients."""
     form1 = gaussians.chain_nonexotic(1, config)
     form2 = gaussians.chain_nonexotic(2, config)
     return {

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and integrated
 numerically, so agreement with the chain engine is a genuine cross-check and
-not a tautology.
+not a tautology. Only the adaptive-quadrature functions import scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import PhysicsConfig, derive
 
@@ -22,6 +21,8 @@ _DOMAIN_WIDTHS = 10.0  # integration window half-width, in local packet widths
 
 def complex_quad(f, a: float, b: float, **kwargs) -> complex:
     """Adaptive quadrature of a complex integrand via two real passes."""
+    from scipy.integrate import quad
+
     opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=300)
     opts.update(kwargs)
     re, _ = quad(lambda x: f(x).real, a, b, **opts)
@@ -41,6 +42,8 @@ def momentum_sigma(config: PhysicsConfig) -> float:
     Fourier-transforms the packet numerically at each momentum, then
     integrates p^2 |phi(p)|^2 dp; independent of any analytic moment formula.
     """
+    from scipy.integrate import quad
+
     sig, hbar = config.sigma0, config.hbar
     x_half = _DOMAIN_WIDTHS * sig
     p_scale = hbar / sig

@@ -10,6 +10,7 @@ path crosses the slit plane three times; the slit-to-slit traversal time
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -37,6 +38,7 @@ _CONFIG_KEYS = {
 }
 
 _REQUIRED_KEYS = ("mass_kg", "sigma0_m", "beta_m", "d_m", "t_s", "tau_s")
+_AMPLITUDES = ("amp_nonexotic", "amp_exotic")
 
 
 class ConfigError(ValueError):
@@ -67,14 +69,16 @@ class PhysicsConfig:
     amp_exotic: complex = 0.05 + 0.0j
 
     def __post_init__(self):
-        for name in ("mass", "sigma0", "beta", "d", "t", "tau", "hbar"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        # finite numbers, bool excluded; only eta may be zero, only the amplitudes complex or signed
+        for name, value in vars(self).items():  # every field, in declaration order
+            amplitude = name in _AMPLITUDES
+            kinds = (int, float, complex) if amplitude else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not cmath.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            if name == "eta" and value < 0:
+                raise ConfigError(f"eta must be >= 0, got {value!r}")
+            if not amplitude and name != "eta" and value <= 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta!r}")
-        if self.excited_lifetime <= 0:
-            raise ConfigError(f"excited_lifetime must be strictly positive, got {self.excited_lifetime!r}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,14 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon)
 
 
-def validate_regime(config: PhysicsConfig, derived: DerivedQuantities | None = None) -> list[str]:
+def validate_regime(config: PhysicsConfig) -> list[str]:
     """Warnings for parameter choices outside the regime the closed forms assume.
 
     The total flight time of a looped path must stay far below the excited-state
     lifetime (no spontaneous decay en route), and the auxiliary inter-slit time
     eta must be zero for the closed-form coefficients to apply.
     """
-    if derived is None:
-        derived = derive(config)
+    derived = derive(config)
     warnings = []
     flight = config.t + 2.0 * derived.epsilon + config.tau
     if flight > 0.01 * config.excited_lifetime:

@@ -137,9 +137,7 @@ def closed_vs_chain(
     """
     if points < 1:
         raise ValueError("need at least one grid point")
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
-    coeffs = closedform.build_coefficients(zt, config, derived)
+    coeffs = closedform.solve(config).coeffs
     if points == 1:
         grid = np.array([0.0])
     else:
@@ -170,9 +168,7 @@ def chain_vs_quadrature(
     config: PhysicsConfig, points: int = 5, tolerance: float = QUADRATURE_TOL
 ) -> VerificationReport:
     """Propagator chain against direct 2-D quadrature of the loop integral."""
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
-    coeffs = closedform.build_coefficients(zt, config, derived)
+    coeffs = closedform.solve(config).coeffs
     spacing = math.pi / abs(coeffs.gamma)
     offsets = np.linspace(-1.7, 1.7, points) if points > 1 else np.array([0.3])
     grid = offsets * spacing
@@ -203,14 +199,11 @@ def full_verification(
     quadrature: bool = True,
     corrupt: str | None = None,
 ) -> VerificationReport:
-    report = VerificationReport()
-    for rec in ztable_consistency(config, corrupt=corrupt).records:
-        report.add(rec)
-    for rec in coefficient_terms(config).records:
-        report.add(rec)
-    for rec in closed_vs_chain(config, points=points, tolerance=tolerance).records:
-        report.add(rec)
+    parts = [
+        ztable_consistency(config, corrupt=corrupt),
+        coefficient_terms(config),
+        closed_vs_chain(config, points=points, tolerance=tolerance),
+    ]
     if quadrature:
-        for rec in chain_vs_quadrature(config).records:
-            report.add(rec)
-    return report
+        parts.append(chain_vs_quadrature(config))
+    return VerificationReport([rec for part in parts for rec in part.records])

@@ -1,0 +1,74 @@
+"""Bad physical input is rejected by a named ConfigError, and the CLI exits 2."""
+
+import math
+
+import pytest
+
+from eltsim.cli import main
+from eltsim.params import ConfigError, parse_config_text, rubidium_config
+
+_MINIMAL = """\
+mass_kg = 1.44e-25
+sigma0_m = 10e-9
+beta_m = 10e-9
+d_m = 180e-9
+t_s = 20e-6
+tau_s = 20e-6
+"""
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("eta", math.nan),
+        ("eta", math.inf),
+        ("eta", True),
+        ("excited_lifetime", math.nan),
+        ("excited_lifetime", -1.0),
+        ("omega_ge", math.nan),
+        ("omega_ge", 0.0),
+        ("hbar", math.inf),
+        ("mass", True),
+        ("sigma0", "10e-9"),
+        ("amp_exotic", math.inf),
+        ("amp_exotic", complex(0.05, math.nan)),
+        ("amp_nonexotic", complex(math.inf, 0.0)),
+        ("amp_nonexotic", True),
+    ],
+)
+def test_bad_field_rejected_by_name(name, value):
+    with pytest.raises(ConfigError, match=name):
+        rubidium_config(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("eta", 0.0), ("eta", 1e-9), ("amp_exotic", -0.05 + 0.1j), ("amp_nonexotic", 0.0), ("mass", 144)],
+)
+def test_edge_values_accepted(name, value):
+    assert getattr(rubidium_config(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("amp_exotic_re = inf", "amp_exotic"),
+        ("amp_nonexotic_im = nan", "amp_nonexotic"),
+        ("lifetime_s = nan", "excited_lifetime"),
+        ("eta_s = nan", "eta"),
+        ("omega_ge_rad_s = -1", "omega_ge"),
+    ],
+)
+def test_config_file_rejects_non_finite(line, name):
+    with pytest.raises(ConfigError, match=name):
+        parse_config_text(_MINIMAL + line + "\n")
+
+
+def test_cli_exits_2_and_writes_nothing_on_infinite_amplitude(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(_MINIMAL + "amp_exotic_re = inf\n")
+    out = tmp_path / "full.csv"
+    code = main(["intensity", "--config", str(cfg), "--branch", "full", "--out", str(out)])
+    assert code == 2
+    assert "amp_exotic" in capsys.readouterr().err
+    assert not out.exists()

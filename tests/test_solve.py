@@ -1,0 +1,97 @@
+"""closedform.solve is the one solve of a configuration, and the CLI calls it once."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import eltsim
+from eltsim import closedform, gaussians, verification
+from eltsim.cli import main
+from eltsim.params import derive, rubidium_config
+
+CONFIG_TEXT = """\
+mass_kg = 1.44e-25
+sigma0_m = 10e-9
+beta_m = 10e-9
+d_m = 180e-9
+t_s = 20e-6
+tau_s = 20e-6
+"""
+
+
+@pytest.fixture()
+def config_path(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG_TEXT)
+    return str(path)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Count calls of closedform.build_coefficients."""
+    calls = []
+    original = closedform.build_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(closedform, "build_coefficients", counting)
+    return calls
+
+
+def test_solve_matches_the_three_steps(config):
+    derived = derive(config)
+    zt = closedform.build_ztable(config, derived)
+    solution = closedform.solve(config)
+    assert solution.derived == derived
+    assert solution.ztable == zt
+    assert solution.coeffs == closedform.build_coefficients(zt, config, derived)
+
+
+@pytest.mark.parametrize("points", [1, 801, 2001, 200001])
+def test_psi21_is_psi12_at_minus_x_bit_for_bit(config, points):
+    coeffs = closedform.solve(config).coeffs
+    grid = np.linspace(-2e-6, 2e-6, points)
+    assert np.array_equal(closedform.psi21(grid, coeffs), closedform.psi12(-grid, coeffs))
+
+
+@pytest.mark.parametrize("branch", ["elt", "ground", "full", "fringes", "antifringes"])
+def test_intensity_solves_once(config_path, tmp_path, solves, branch):
+    out = tmp_path / f"{branch}.csv"
+    assert main(["intensity", "--config", config_path, "--branch", branch, "--out", str(out)]) == 0
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_sweep_solves_each_step_and_the_manifest_once(config_path, tmp_path, solves, steps):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
+    assert main(argv + ["--steps", str(steps), "--out", str(out)]) == 0
+    assert len(solves) == steps + 1
+
+
+def test_verify_manifest_coefficients_reproduce_the_chain(config_path, tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--config", config_path, "--skip-quadrature", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "verify.txt.manifest.json").read_text())
+    coeffs = closedform.EltCoefficients(**manifest["coefficients"])
+    assert coeffs == closedform.solve(rubidium_config()).coeffs
+    grid = np.linspace(-1e-6, 1e-6, 41)
+    for loop, psi in (("12", closedform.psi12), ("21", closedform.psi21)):
+        chain = gaussians.chain_exotic(loop, rubidium_config()).evaluate(grid)
+        closed = closedform.CHAIN_SIGN * psi(grid, coeffs)
+        assert np.max(np.abs(closed - chain)) / np.max(np.abs(chain)) < verification.DEFAULT_CHAIN_TOL
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(eltsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import eltsim.cli, sys; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
