@@ -218,9 +218,12 @@ def aggregate_visibility(profile: IntensityProfile, spacing: float) -> float:
     """(Imax - Imin)/(Imax + Imin) over the central three fringes.
 
     A convenience metric for sweeps; unlike the pointwise visibility it
-    depends on the grid window, so it is reported under its own name.
+    depends on the grid window, so it is reported under its own name. The
+    window is closed with a relative margin of 1e-12: its edges fall exactly
+    on points of the default grid (the outer fringe minima), and without the
+    margin the last bit of gamma decided whether they count.
     """
-    half = 1.5 * spacing
+    half = 1.5 * spacing * (1.0 + 1e-12)
     window = (profile.grid >= -half) & (profile.grid <= half)
     if not np.any(window):
         raise ProfileError("grid does not cover the central fringes")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,3 +216,15 @@ def test_aggregate_visibility_requires_window(coeffs):
     profile = elt_intensity(np.linspace(1e-4, 2e-4, 5), coeffs, "raw")
     with pytest.raises(ProfileError):
         aggregate_visibility(profile, fringe_spacing(coeffs))
+
+
+@pytest.mark.parametrize("tau", [20e-6, 2.104682274247492e-07])
+def test_aggregate_visibility_ignores_the_last_bit_of_gamma(tau):
+    # the window edges +/-1.5 pi/|gamma| fall on points 280 and 520 of the 801-point sweep grid
+    coeffs = closedform.solve(rubidium_config(tau=tau)).coeffs
+    results = []
+    for gamma in (np.nextafter(coeffs.gamma, -np.inf), coeffs.gamma, np.nextafter(coeffs.gamma, np.inf)):
+        nudged = dataclasses.replace(coeffs, gamma=float(gamma))
+        profile = elt_intensity(default_grid(nudged, points=801), nudged, "peak")
+        results.append(aggregate_visibility(profile, fringe_spacing(nudged)))
+    assert results == pytest.approx([results[1]] * 3, rel=1e-12, abs=0)
