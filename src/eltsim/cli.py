@@ -5,7 +5,10 @@ configuration (``closedform.solve``) when it made one, and its manifest
 fields. ``main`` writes the text to ``--out`` (stdout when it is not given)
 and, with ``--out``, the reproducibility record ``<out>.manifest.json``
 beside it, from that solution or, when the command made none, from one solve
-there. ``intensity`` thus solves once; ``sweep`` once per swept value.
+there. ``intensity`` and ``verify`` thus solve once. ``sweep`` solves its
+values in batches of ``SWEEP_CHUNK`` configurations, one array solve and one
+(configurations x grid) profile block each, so its memory stays flat in
+``--steps``; its manifest solves the base configuration once.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. CSV numbers use scientific notation with
@@ -18,6 +21,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,10 +39,22 @@ _FMT = "%.16e"  # 17 significant digits
 BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
+SWEEP_POINTS = 801  # grid points per swept configuration
+SWEEP_CHUNK = 32  # configurations per batch: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 0.2 MB
+_SWEEP_ROW = ",".join([_FMT] * 6)
 
 
 def _fmt(value: float) -> str:
     return _FMT % value
+
+
+def _require_closed_form(config: PhysicsConfig):
+    """intensity and sweep evaluate the looped paths in closed form, which holds for eta = 0 only."""
+    if config.eta != 0.0:
+        raise ConfigError(
+            f"eta = {config.eta!r} s is nonzero; intensity and sweep use the closed form, "
+            "which assumes eta = 0 (verify measures the deviation)"
+        )
 
 
 def _load(args) -> PhysicsConfig:
@@ -135,6 +151,7 @@ def profile_csv(profile: intensity.IntensityProfile) -> str:
 
 
 def cmd_intensity(args, config: PhysicsConfig):
+    _require_closed_form(config)
     solution = closedform.solve(config)
     grid = _grid(args, solution.coeffs)
     normalization = "raw" if args.raw else "peak"
@@ -143,12 +160,14 @@ def cmd_intensity(args, config: PhysicsConfig):
 
 
 def cmd_verify(args, config: PhysicsConfig):
+    solution = closedform.solve(config)
     report = verification.full_verification(
         config,
         points=args.points,
         tolerance=args.tolerance,
         quadrature=not args.skip_quadrature,
         corrupt=args.corrupt_z,
+        solution=solution,
     )
     text = report.render() + "\n"
     worst = report.worst()
@@ -158,7 +177,7 @@ def cmd_verify(args, config: PhysicsConfig):
             text += f", {worst.detail}"
         text += "\n"
     code = EXIT_OK if report.passed else EXIT_VERIFY
-    return code, text, None, {"points": args.points, "tolerance": args.tolerance, "passed": report.passed}
+    return code, text, solution, {"points": args.points, "tolerance": args.tolerance, "passed": report.passed}
 
 
 def _prob(p: float) -> str:
@@ -205,7 +224,10 @@ def cmd_states(args, config: PhysicsConfig):
 def cmd_sweep(args, config: PhysicsConfig):
     if args.parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {args.parameter!r}")
+    _require_closed_form(config)
     lo, hi = args.range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--range ends must be finite numbers, got {lo!r} {hi!r}")
     if not (lo > 0 and hi >= lo):
         raise ConfigError("sweep range must satisfy 0 < min <= max")
     if args.steps < 1:
@@ -213,19 +235,17 @@ def cmd_sweep(args, config: PhysicsConfig):
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
 
     lines = ["param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad"]
-    for value in values:
-        solution = closedform.solve(dataclasses.replace(config, **{args.parameter: float(value)}))
+    for start in range(0, values.size, SWEEP_CHUNK):
+        chunk = values[start : start + SWEEP_CHUNK]
+        solution = closedform.solve(dataclasses.replace(config, **{args.parameter: chunk}))
         coeffs = solution.coeffs
         spacing = intensity.fringe_spacing(coeffs)
-        grid = intensity.default_grid(coeffs, points=801)
+        grid = intensity.default_grid(coeffs, points=SWEEP_POINTS)
         profile = intensity.elt_intensity(grid, coeffs, "peak")
         agg = intensity.aggregate_visibility(profile, spacing)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (float(value), solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
-            )
-        )
+        # epsilon depends on d and sigma0 only, so it may be one value for the whole chunk
+        columns = np.broadcast_arrays(chunk, solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
+        lines += [_SWEEP_ROW % row for row in zip(*(c.tolist() for c in columns))]
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, "\n".join(lines) + "\n", None, extra
 

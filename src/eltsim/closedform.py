@@ -16,6 +16,14 @@ routes contains transcription errors; the verifier reports any per-term
 disagreement by name. ``solve`` is the one place that turns a configuration
 into its derived kinematics, z-table and coefficients.
 
+``derive``, ``build_ztable``, ``build_coefficients`` and ``gouy_phase``
+broadcast: a configuration whose swept field is a 1-D array (see
+``params.swept``) is solved for every value in one pass, each z-table entry
+and coefficient then being an array with one element per configuration. The
+degeneracy guards are masked checks that raise ``DegenerateConfigError``
+naming the first swept value that trips them. A single configuration stays
+in Python scalar arithmetic.
+
 Sign convention: the chain evaluator in :mod:`eltsim.gaussians` returns
 exactly ``CHAIN_SIGN`` times this closed form. The minus sign is the global
 phase that the composite-state construction carries explicitly on the two
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedQuantities, PhysicsConfig, derive
+from .params import DerivedQuantities, PhysicsConfig, derive, swept
 
 # chain evaluation = CHAIN_SIGN * closed form (global phase, see module docstring)
 CHAIN_SIGN = -1.0
@@ -42,7 +50,8 @@ class DegenerateConfigError(ValueError):
 @dataclass(frozen=True)
 class ZTable:
     """Stage coefficients z0..z3 (1/m^2), their products z4..z10, and the
-    composite pair (gouy_zr, gouy_zi) that sets the axial Gouy phase."""
+    composite pair (gouy_zr, gouy_zi) that sets the axial Gouy phase; arrays
+    for an array-valued configuration."""
 
     z0: complex
     z1: complex
@@ -61,7 +70,8 @@ class ZTable:
 
 @dataclass(frozen=True)
 class EltCoefficients:
-    """Coefficient bundle of the closed-form looped-path wavefunction."""
+    """Coefficient bundle of the closed-form looped-path wavefunction; arrays
+    for an array-valued configuration."""
 
     amplitude: float  # A, m^(-1/2)
     c1: float  # envelope curvature, 1/m^2
@@ -73,9 +83,20 @@ class EltCoefficients:
     mu: float  # Gouy phase, rad
 
 
-def _guard(z: complex, name: str) -> complex:
-    if z.real == 0.0 and z.imag == 0.0:
-        raise DegenerateConfigError(f"{name} vanishes; division is undefined")
+def _check(ok, config: PhysicsConfig, describe) -> None:
+    """Raise DegenerateConfigError(describe(i, where)) for the first configuration
+    i where ``ok`` fails; ``where`` names its swept value, '' for one configuration."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    i = int(np.argmin(ok)) if ok.ndim else 0
+    field = swept(config)
+    where = f" at {field[0]} = {field[1][i].item()!r}" if field else ""
+    raise DegenerateConfigError(describe(i, where))
+
+
+def _guard(z, name: str, config: PhysicsConfig):
+    _check(z != 0, config, lambda i, where: f"{name} vanishes{where}; division is undefined")
     return z
 
 
@@ -89,20 +110,20 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
     kt = m / (hbar * t)
     z1 = (
         1.0 / (2.0 * config.beta**2)
-        + kt * kt / (4.0 * _guard(z0, "z0"))
+        + kt * kt / (4.0 * _guard(z0, "z0", config))
         - 1j * (m / (4.0 * hbar * eps) + m / (2.0 * hbar * t))
     )
     z2 = (
         1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * _guard(z1, "z1"))
+        + lam * lam / (4.0 * _guard(z1, "z1", config))
         - 1j * m / (2.0 * hbar * eps)
     )
     z3 = (
         1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * _guard(z2, "z2"))
+        + lam * lam / (4.0 * _guard(z2, "z2", config))
         - 1j * (m / (2.0 * hbar * tau) + m / (4.0 * hbar * eps))
     )
-    _guard(z3, "z3")
+    _guard(z3, "z3", config)
 
     big_z = z0 * z1 * z2 * z3
     return ZTable(
@@ -195,7 +216,7 @@ def constant_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: Deriv
         "const_z6": -(lam**2) * dd / (8.0 * zt.z6),
         "const_z9": -1j * lam**3 * dd / (16.0 * zt.z9),
         "const_z5": lam**4 * dd / (64.0 * zt.z5),
-        "const_slits": complex(-3.0 * d * d / (8.0 * beta * beta), 0.0),
+        "const_slits": -3.0 * d * d / (8.0 * beta * beta) + 0j,
     }
 
 
@@ -279,9 +300,9 @@ def gouy_phase(zt: ZTable) -> float:
     The two-argument arctangent fixes the branch; continuity over parameter
     sweeps is the tiebreaker for this choice.
     """
-    if zt.gouy_zr == 0.0 and zt.gouy_zi == 0.0:
+    if np.any((zt.gouy_zr == 0.0) & (zt.gouy_zi == 0.0)):
         raise DegenerateConfigError("Gouy phase undefined: both composites vanish")
-    return 0.5 * math.atan2(zt.gouy_zi, zt.gouy_zr)
+    return 0.5 * np.arctan2(zt.gouy_zi, zt.gouy_zr)
 
 
 def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> EltCoefficients:
@@ -290,8 +311,8 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
     t, tau, eps = config.t, config.tau, derived.epsilon
     ktau = m / (hbar * tau)
 
-    big_z_mod = math.hypot(zt.gouy_zr, zt.gouy_zi)
-    amplitude = math.sqrt(
+    big_z_mod = np.hypot(zt.gouy_zr, zt.gouy_zi)
+    amplitude = np.sqrt(
         m**3 * math.sqrt(math.pi) / (16.0 * hbar**3 * tau * t * eps * config.sigma0 * big_z_mod)
     )
 
@@ -313,10 +334,14 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
         theta=const.imag,
         mu=gouy_phase(zt),
     )
-    if not (coeffs.amplitude > 0 and coeffs.c1 > 0):
-        raise DegenerateConfigError(
-            f"non-normalizable closed form: A={coeffs.amplitude!r}, C1={coeffs.c1!r}"
-        )
+    _check(
+        (amplitude > 0) & (c1 > 0),
+        config,
+        lambda i, where: (
+            f"non-normalizable closed form{where}: "
+            f"A={np.ravel(amplitude)[i].item()!r}, C1={np.ravel(c1)[i].item()!r}"
+        ),
+    )
     return coeffs
 
 
@@ -330,7 +355,8 @@ class Solution:
 
 
 def solve(config: PhysicsConfig) -> Solution:
-    """derive -> build_ztable -> build_coefficients for one configuration."""
+    """derive -> build_ztable -> build_coefficients for one configuration, or
+    for every value of an array-valued field at once."""
     derived = derive(config)
     zt = build_ztable(config, derived)
     return Solution(derived, zt, build_coefficients(zt, config, derived))

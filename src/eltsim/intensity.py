@@ -6,11 +6,21 @@ straight paths come from the exact propagator chain, the looped paths from
 the closed form. Looped-path evaluators use the closed form's sign
 convention; weight matrices built from the composite state carry the
 matching explicit minus, so all branch profiles are mutually consistent.
+
+The looped-paths-only profile ``elt_intensity`` is evaluated in real
+arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
+
+    |psi12 + psi21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
+
+because psi21(x) = psi12(-x). ``elt_intensity``, ``default_grid``,
+``fringe_spacing``, ``aggregate_visibility`` and the clamp and normalization
+of every profile work along the last axis, so coefficients solved for N
+configurations at once give an (N, points) block in one call, the way
+``eltsim sweep`` uses them; one configuration is the 1-D case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +37,7 @@ class ProfileError(ValueError):
 
 @dataclass
 class IntensityProfile:
-    grid: np.ndarray  # strictly increasing screen positions, m
+    grid: np.ndarray  # strictly increasing screen positions, m (one row per configuration)
     values: np.ndarray  # intensity per point, >= 0
     branch: str
     normalization: str
@@ -56,25 +66,31 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _per_row(value):
+    """A value per profile (scalar, or one per configuration) as a column against the last axis."""
+    return np.asarray(value)[..., None]
+
+
 def _finalize(grid, values, branch, normalization, visibility=None) -> IntensityProfile:
+    """Clamp round-off negatives and normalize, each profile along the last axis."""
     values = np.asarray(values, dtype=float)
     negative = values < 0
     clamped = int(np.count_nonzero(negative))
     if clamped:
-        floor = float(values.min())
-        if floor < -1e-12 * max(1.0, float(np.abs(values).max())):
-            raise ProfileError(f"intensity significantly negative: min {floor:.3g}")
+        floor = values.min(axis=-1)
+        significant = floor < -1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
+        if np.any(significant):
+            raise ProfileError(f"intensity significantly negative: min {float(np.min(floor[significant])):.3g}")
         values = np.where(negative, 0.0, values)
     if normalization not in NORMALIZATIONS:
         raise ProfileError(f"unknown normalization {normalization!r}")
-    if normalization == "peak":
-        peak = values.max()
-        if peak > 0:
-            values = values / peak
-    elif normalization == "area":
-        area = np.trapezoid(values, grid) if grid.size > 1 else values.sum()
-        if area > 0:
-            values = values / area
+    if normalization != "raw":
+        if normalization == "peak":
+            scale = values.max(axis=-1)
+        else:
+            scale = np.trapezoid(values, grid, axis=-1) if grid.shape[-1] > 1 else values.sum(axis=-1)
+        scale = _per_row(scale)
+        values = values / np.where(scale > 0, scale, 1.0)  # a profile without positive scale stays as is
     return IntensityProfile(grid, values, branch, normalization, visibility, clamped)
 
 
@@ -117,19 +133,23 @@ def visibility_predictability(i1: float, i2: float, cross_magnitude: float) -> D
 def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
     """Looped-paths-only interference pattern |psi12 + psi21|^2.
 
-    Computed through the complex cross term 2 Re(psi12 psi21*), which equals
-    the |psi12|^2 + |psi21|^2 + 2|psi12 psi21| cos(phase difference) form
-    identically. Symmetric in x because psi21(x) = psi12(-x).
+    Evaluated in the real form A^2 [e^(u+v) + e^(u-v) + 2 e^u cos(2 gamma x)]
+    (module docstring), equal to |psi12|^2 + |psi21|^2 + 2 Re(psi12 psi21*)
+    without a complex exponential. Symmetric in x because psi21(x) =
+    psi12(-x). For coefficients of N configurations ``grid`` is (N, points),
+    one row each; the pointwise visibility is 0 where |psi12|^2 + |psi21|^2
+    underflows to 0.
     """
     grid = _check_grid(grid)
-    p12 = closedform.psi12(grid, coeffs)
-    p21 = closedform.psi21(grid, coeffs)
-    i12 = np.abs(p12) ** 2
-    i21 = np.abs(p21) ** 2
-    cross = 2.0 * (p12 * np.conj(p21)).real
-    values = i12 + i21 + cross
+    # ln A^2 rides in the exponent, so no factor underflows where the product does not
+    u = _per_row(2.0 * (coeffs.c3 + np.log(coeffs.amplitude))) - _per_row(2.0 * coeffs.c1) * grid * grid
+    v = _per_row(2.0 * coeffs.c2) * grid
+    diag = np.exp(u + v) + np.exp(u - v)  # |psi12|^2 + |psi21|^2
+    cross = 2.0 * np.exp(u)  # 2 |psi12 psi21*|
+    del u, v  # a sweep block holds many points: keep few of its temporaries alive at once
+    values = diag + cross * np.cos(_per_row(2.0 * coeffs.gamma) * grid)
     with np.errstate(invalid="ignore", divide="ignore"):
-        vis = np.where(i12 + i21 > 0, 2.0 * np.abs(p12 * np.conj(p21)) / (i12 + i21), 0.0)
+        vis = np.where(diag > 0, cross / diag, 0.0)
     return _finalize(grid, values, "elt", normalization, vis)
 
 
@@ -198,24 +218,26 @@ def branch_intensity(
 
 
 def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001, fringes: float = 5.0) -> np.ndarray:
-    """Symmetric grid spanning +/- ``fringes`` fringe spacings pi/|gamma|."""
-    if coeffs.gamma == 0:
+    """Symmetric grid spanning +/- ``fringes`` fringe spacings pi/|gamma|; one
+    row per configuration for coefficient arrays."""
+    if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
-    half = fringes * math.pi / abs(coeffs.gamma)
+    half = fringes * np.pi / np.abs(coeffs.gamma)
     if points < 1:
         raise ProfileError("grid needs at least one point")
-    return np.linspace(-half, half, points)
+    return np.linspace(-half, half, points, axis=-1)
 
 
-def fringe_spacing(coeffs: closedform.EltCoefficients) -> float:
+def fringe_spacing(coeffs: closedform.EltCoefficients):
     """Distance between adjacent looped-path maxima near the center."""
-    if coeffs.gamma == 0:
+    if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; fringes are infinitely wide")
-    return math.pi / abs(coeffs.gamma)
+    return np.pi / np.abs(coeffs.gamma)
 
 
-def aggregate_visibility(profile: IntensityProfile, spacing: float) -> float:
-    """(Imax - Imin)/(Imax + Imin) over the central three fringes.
+def aggregate_visibility(profile: IntensityProfile, spacing):
+    """(Imax - Imin)/(Imax + Imin) over the central three fringes, per profile
+    row (a float for one profile, an array for a block of them).
 
     A convenience metric for sweeps; unlike the pointwise visibility it
     depends on the grid window, so it is reported under its own name. The
@@ -223,12 +245,12 @@ def aggregate_visibility(profile: IntensityProfile, spacing: float) -> float:
     on points of the default grid (the outer fringe minima), and without the
     margin the last bit of gamma decided whether they count.
     """
-    half = 1.5 * spacing * (1.0 + 1e-12)
-    window = (profile.grid >= -half) & (profile.grid <= half)
-    if not np.any(window):
+    half = 1.5 * _per_row(spacing) * (1.0 + 1e-12)
+    window = np.abs(profile.grid) <= half
+    if not np.all(np.any(window, axis=-1)):
         raise ProfileError("grid does not cover the central fringes")
-    values = profile.values[window]
-    hi, lo = float(values.max()), float(values.min())
-    if hi + lo == 0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    hi = np.where(window, profile.values, -np.inf).max(axis=-1)
+    lo = np.where(window, profile.values, np.inf).min(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        agg = np.where(hi + lo == 0, 0.0, (hi - lo) / (hi + lo))
+    return float(agg) if agg.ndim == 0 else agg

@@ -14,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 CODATA_HBAR = 1.054571817e-34  # J s
 
 # Rubidium circular-Rydberg transition used for the cavity marking estimates.
@@ -53,6 +55,10 @@ class PhysicsConfig:
     (source on the symmetry axis), ``amp_exotic`` the common weight of the
     clockwise/counterclockwise looped paths. The ratio between them is an
     explicit input; the looped-path chain itself is unnormalized.
+
+    One real field may instead hold a 1-D float array: the configuration
+    then stands for one configuration per element, and ``derive`` and
+    ``closedform.solve`` broadcast over it (``sweep`` builds such batches).
     """
 
     mass: float
@@ -69,9 +75,18 @@ class PhysicsConfig:
     amp_exotic: complex = 0.05 + 0.0j
 
     def __post_init__(self):
-        # finite numbers, bool excluded; only eta may be zero, only the amplitudes complex or signed
+        # finite numbers, bool excluded; only eta may be zero, only the amplitudes complex or signed.
+        # A real field may hold a 1-D float array of values (one configuration each, see swept);
+        # the first bad element is then checked below and named like a scalar.
         for name, value in vars(self).items():  # every field, in declaration order
             amplitude = name in _AMPLITUDES
+            if isinstance(value, np.ndarray) and not amplitude:
+                if value.ndim != 1 or value.dtype.kind != "f":
+                    raise ConfigError(f"{name} must be a finite number or a 1-D float array, got {value!r}")
+                good = np.isfinite(value) & (value >= 0 if name == "eta" else value > 0)
+                if good.all():
+                    continue
+                value = value[np.argmin(good)].item()
             kinds = (int, float, complex) if amplitude else (int, float)
             if isinstance(value, bool) or not isinstance(value, kinds) or not cmath.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -79,6 +94,14 @@ class PhysicsConfig:
                 raise ConfigError(f"eta must be >= 0, got {value!r}")
             if not amplitude and name != "eta" and value <= 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
+
+
+def swept(config: PhysicsConfig) -> tuple[str, np.ndarray] | None:
+    """The field that holds an array of values, and the values; None for one configuration."""
+    for name, value in vars(config).items():
+        if isinstance(value, np.ndarray):
+            return name, value
+    return None
 
 
 @dataclass(frozen=True)
@@ -96,7 +119,7 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     The initial packet exp(-x^2/2 sigma0^2) is minimum-uncertainty, so
     Delta p_x = hbar / (sqrt(2) sigma0); epsilon = d / Delta v_x with
     Delta v_x = Delta p_x / m. For the Rubidium parameter set this gives
-    epsilon ~ 3.5 us.
+    epsilon ~ 3.5 us. Broadcasts over an array-valued field.
     """
     delta_p = config.hbar / (math.sqrt(2.0) * config.sigma0)
     delta_v = delta_p / config.mass

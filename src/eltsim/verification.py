@@ -9,6 +9,10 @@ Three layers, from cheapest to most expensive:
 * wavefunction equivalence: the closed-form psi12/psi21 must agree with the
   exact propagator chain pointwise, and the chain in turn with direct 2-D
   quadrature of the loop integral.
+
+Each layer takes the configuration and solves it (``closedform.solve``)
+unless the caller passes the ``solution`` it already has; ``eltsim verify``
+solves once and hands that solution to every layer and to its manifest.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform, gaussians, oracle
-from .params import PhysicsConfig, derive
+from .params import PhysicsConfig
 
 ZTABLE_TOL = 1e-12
 TERM_TOL = 1e-12
@@ -80,12 +84,13 @@ def _parse_corrupt(corrupt: str | None):
     return name, component
 
 
-def ztable_consistency(config: PhysicsConfig, corrupt: str | None = None) -> VerificationReport:
+def ztable_consistency(
+    config: PhysicsConfig, corrupt: str | None = None, solution: closedform.Solution | None = None
+) -> VerificationReport:
     """Expanded component formulas vs direct complex products for z4..z10 and
     the Gouy composites. ``corrupt`` perturbs one expanded entry (fault
-    injection for tests), e.g. "z5R"."""
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
+    injection for tests), e.g. "z5R"; the solution itself is not changed."""
+    zt = (solution or closedform.solve(config)).ztable
     expanded = closedform.expanded_products(zt)
     corrupt_name, component = _parse_corrupt(corrupt)
     if corrupt_name is not None and corrupt_name not in expanded:
@@ -107,14 +112,14 @@ def ztable_consistency(config: PhysicsConfig, corrupt: str | None = None) -> Ver
     return report
 
 
-def coefficient_terms(config: PhysicsConfig) -> VerificationReport:
+def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | None = None) -> VerificationReport:
     """Per-term agreement between expanded and compact coefficient formulas.
 
     Any single wrong term in the linear (C2/gamma) or constant (C3/theta)
     coefficient tables shows up here under its own name.
     """
-    derived = derive(config)
-    zt = closedform.build_ztable(config, derived)
+    solution = solution or closedform.solve(config)
+    derived, zt = solution.derived, solution.ztable
     compact = {}
     compact.update(closedform.linear_coefficient_terms(zt, config, derived))
     compact.update(closedform.constant_coefficient_terms(zt, config, derived))
@@ -128,7 +133,10 @@ def coefficient_terms(config: PhysicsConfig) -> VerificationReport:
 
 
 def closed_vs_chain(
-    config: PhysicsConfig, points: int = 101, tolerance: float = DEFAULT_CHAIN_TOL
+    config: PhysicsConfig,
+    points: int = 101,
+    tolerance: float = DEFAULT_CHAIN_TOL,
+    solution: closedform.Solution | None = None,
 ) -> VerificationReport:
     """Closed-form psi12/psi21 against the exact propagator chain.
 
@@ -137,7 +145,7 @@ def closed_vs_chain(
     """
     if points < 1:
         raise ValueError("need at least one grid point")
-    coeffs = closedform.solve(config).coeffs
+    coeffs = (solution or closedform.solve(config)).coeffs
     if points == 1:
         grid = np.array([0.0])
     else:
@@ -165,10 +173,13 @@ def closed_vs_chain(
 
 
 def chain_vs_quadrature(
-    config: PhysicsConfig, points: int = 5, tolerance: float = QUADRATURE_TOL
+    config: PhysicsConfig,
+    points: int = 5,
+    tolerance: float = QUADRATURE_TOL,
+    solution: closedform.Solution | None = None,
 ) -> VerificationReport:
     """Propagator chain against direct 2-D quadrature of the loop integral."""
-    coeffs = closedform.solve(config).coeffs
+    coeffs = (solution or closedform.solve(config)).coeffs
     spacing = math.pi / abs(coeffs.gamma)
     offsets = np.linspace(-1.7, 1.7, points) if points > 1 else np.array([0.3])
     grid = offsets * spacing
@@ -198,12 +209,14 @@ def full_verification(
     tolerance: float = DEFAULT_CHAIN_TOL,
     quadrature: bool = True,
     corrupt: str | None = None,
+    solution: closedform.Solution | None = None,
 ) -> VerificationReport:
+    solution = solution or closedform.solve(config)
     parts = [
-        ztable_consistency(config, corrupt=corrupt),
-        coefficient_terms(config),
-        closed_vs_chain(config, points=points, tolerance=tolerance),
+        ztable_consistency(config, corrupt=corrupt, solution=solution),
+        coefficient_terms(config, solution=solution),
+        closed_vs_chain(config, points=points, tolerance=tolerance, solution=solution),
     ]
     if quadrature:
-        parts.append(chain_vs_quadrature(config))
+        parts.append(chain_vs_quadrature(config, solution=solution))
     return VerificationReport([rec for part in parts for rec in part.records])

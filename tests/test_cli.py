@@ -191,3 +191,13 @@ def test_sweep_gouy_continuity(config_path, capsys):
 
 def test_sweep_invalid_range(config_path):
     assert main(["sweep", "--config", config_path, "--parameter", "d", "--range", "2e-7", "1e-7"]) == 2
+
+
+@pytest.mark.parametrize("end", ["inf", "nan"])
+def test_sweep_rejects_non_finite_range_end(config_path, tmp_path, capsys, end):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", config_path, "--parameter", "d", "--range", "1e-7", end, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--range" in err and "Warning" not in err
+    assert not out.exists()

@@ -1,7 +1,9 @@
 """Bad physical input is rejected by a named ConfigError, and the CLI exits 2."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from eltsim.cli import main
@@ -72,3 +74,38 @@ def test_cli_exits_2_and_writes_nothing_on_infinite_amplitude(tmp_path, capsys):
     assert code == 2
     assert "amp_exotic" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["intensity", "--branch", "elt"], ["intensity", "--branch", "full"], ["sweep", "--parameter", "d", "--range", "1e-7", "2e-7"]],
+)
+def test_closed_form_commands_reject_nonzero_eta(tmp_path, capsys, argv):
+    # the closed form assumes eta = 0; at eta = 1e-9 it is 1.8e-3 off the chain
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(_MINIMAL + "eta_s = 1e-9\n")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_measures_nonzero_eta(tmp_path, capsys):
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(_MINIMAL + "eta_s = 1e-9\n")
+    assert main(["verify", "--config", str(cfg), "--skip-quadrature"]) == 3
+    assert "FAIL] closed-vs-chain/loop12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.array([1e-7, math.nan, -1.0]), "d must be a finite number, got nan"),
+        (np.array([1e-7, 2e-7, -1.0]), "d must be strictly positive, got -1.0"),
+        (np.array([[1e-7]]), "d must be a finite number or a 1-D float array"),
+        (np.array([1, 2]), "d must be a finite number or a 1-D float array"),
+    ],
+)
+def test_array_field_checked_elementwise(value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        rubidium_config(d=value)

@@ -1,6 +1,7 @@
 """closedform.solve is the one solve of a configuration, and the CLI calls it once."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import eltsim
 from eltsim import closedform, gaussians, verification
-from eltsim.cli import main
+from eltsim.cli import SWEEP_CHUNK, main
 from eltsim.params import derive, rubidium_config
 
 CONFIG_TEXT = """\
@@ -67,12 +68,26 @@ def test_intensity_solves_once(config_path, tmp_path, solves, branch):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("steps", [1, 4, SWEEP_CHUNK + 1])
 def test_sweep_solves_each_step_and_the_manifest_once(config_path, tmp_path, solves, steps):
+    # one array solve per batch of SWEEP_CHUNK steps, one for the manifest
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
     assert main(argv + ["--steps", str(steps), "--out", str(out)]) == 0
-    assert len(solves) == steps + 1
+    assert len(solves) == math.ceil(steps / SWEEP_CHUNK) + 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--corrupt-z", "z5R"]])
+def test_verify_solves_once(config_path, tmp_path, solves, extra):
+    out = tmp_path / "verify.txt"
+    code = main(["verify", "--config", config_path, "--skip-quadrature", "--out", str(out)] + extra)
+    assert code == (3 if extra else 0)
+    assert len(solves) == 1
+    # fault injection corrupts the check, never the solution the manifest records
+    manifest = json.loads((tmp_path / "verify.txt.manifest.json").read_text())
+    solution = closedform.solve(rubidium_config())
+    assert closedform.EltCoefficients(**manifest["coefficients"]) == solution.coeffs
+    assert manifest["ztable"]["z5"] == {"re": solution.ztable.z5.real, "im": solution.ztable.z5.imag}
 
 
 def test_verify_manifest_coefficients_reproduce_the_chain(config_path, tmp_path):
