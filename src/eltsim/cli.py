@@ -7,8 +7,10 @@ and, with ``--out``, the reproducibility record ``<out>.manifest.json``
 beside it, from that solution or, when the command made none, from one solve
 there. ``intensity`` and ``verify`` thus solve once. ``sweep`` solves its
 values in batches of ``SWEEP_CHUNK`` configurations, one array solve and one
-(configurations x grid) profile block each, so its memory stays flat in
-``--steps``; its manifest solves the base configuration once.
+(configurations x window) profile block each, so its memory stays flat in
+``--steps``; its manifest solves the base configuration once. Each row is
+scored on the central three fringes alone, the window its
+``aggregate_visibility`` reads, at the default grid's spacing.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. CSV numbers use scientific notation with
@@ -39,8 +41,10 @@ _FMT = "%.16e"  # 17 significant digits
 BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
-SWEEP_POINTS = 801  # grid points per swept configuration
-SWEEP_CHUNK = 32  # configurations per batch: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 0.2 MB
+# window points per swept configuration: +/- CENTRAL_FRINGES fringe spacings at spacing pi/|gamma|/80,
+# the positions of points 280-520 of an 801-point default_grid, which is all aggregate_visibility reads
+SWEEP_POINTS = 241
+SWEEP_CHUNK = 32  # configurations per batch: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
 _SWEEP_ROW = ",".join([_FMT] * 6)
 
 
@@ -240,7 +244,7 @@ def cmd_sweep(args, config: PhysicsConfig):
         solution = closedform.solve(dataclasses.replace(config, **{args.parameter: chunk}))
         coeffs = solution.coeffs
         spacing = intensity.fringe_spacing(coeffs)
-        grid = intensity.default_grid(coeffs, points=SWEEP_POINTS)
+        grid = intensity.default_grid(coeffs, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
         profile = intensity.elt_intensity(grid, coeffs, "peak")
         agg = intensity.aggregate_visibility(profile, spacing)
         # epsilon depends on d and sigma0 only, so it may be one value for the whole chunk

@@ -104,7 +104,16 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
     """z-table for eta = 0; the recursion mirrors the chain stage by stage."""
     m, hbar = config.mass, config.hbar
     t, tau, eps = config.t, config.tau, derived.epsilon
-    lam = m / (2.0 * hbar * eps)  # per-segment loop-kernel wavenumber scale
+    loop_scale = 2.0 * hbar * eps
+    _check(
+        np.isfinite(loop_scale) & (loop_scale > 0),
+        config,
+        lambda i, where: (
+            f"slit-to-slit time epsilon = {np.ravel(eps)[i].item()!r} s is out of range{where}: "
+            f"2 hbar epsilon = {np.ravel(loop_scale)[i].item()!r} J s^2"
+        ),
+    )
+    lam = m / loop_scale  # per-segment loop-kernel wavenumber scale
 
     z0 = 1.0 / (2.0 * config.sigma0**2) - 1j * m / (2.0 * hbar * t)
     kt = m / (hbar * t)

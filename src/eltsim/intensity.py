@@ -29,6 +29,7 @@ from . import closedform, gaussians, marking
 from .params import PhysicsConfig
 
 NORMALIZATIONS = ("raw", "peak", "area")
+CENTRAL_FRINGES = 1.5  # half-width of the aggregate-visibility window, in fringe spacings
 
 
 class ProfileError(ValueError):
@@ -139,11 +140,18 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
     psi12(-x). For coefficients of N configurations ``grid`` is (N, points),
     one row each; the pointwise visibility is 0 where |psi12|^2 + |psi21|^2
     underflows to 0.
+
+    ``peak`` and ``area`` are ratios, so for them each row's exponents are
+    shifted by its largest, max(u + |v|), before ``exp``: the largest term is
+    then 1 and a row whose absolute values would be subnormal keeps full
+    precision. ``raw`` keeps the absolute values.
     """
     grid = _check_grid(grid)
     # ln A^2 rides in the exponent, so no factor underflows where the product does not
     u = _per_row(2.0 * (coeffs.c3 + np.log(coeffs.amplitude))) - _per_row(2.0 * coeffs.c1) * grid * grid
     v = _per_row(2.0 * coeffs.c2) * grid
+    if normalization != "raw":
+        u = u - _per_row(np.max(u + np.abs(v), axis=-1))
     diag = np.exp(u + v) + np.exp(u - v)  # |psi12|^2 + |psi21|^2
     cross = 2.0 * np.exp(u)  # 2 |psi12 psi21*|
     del u, v  # a sweep block holds many points: keep few of its temporaries alive at once
@@ -245,7 +253,7 @@ def aggregate_visibility(profile: IntensityProfile, spacing):
     on points of the default grid (the outer fringe minima), and without the
     margin the last bit of gamma decided whether they count.
     """
-    half = 1.5 * _per_row(spacing) * (1.0 + 1e-12)
+    half = CENTRAL_FRINGES * _per_row(spacing) * (1.0 + 1e-12)
     window = np.abs(profile.grid) <= half
     if not np.all(np.any(window, axis=-1)):
         raise ProfileError("grid does not cover the central fringes")

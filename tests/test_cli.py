@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +202,25 @@ def test_sweep_rejects_non_finite_range_end(config_path, tmp_path, capsys, end):
     err = capsys.readouterr().err
     assert "--range" in err and "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        (["intensity"], "epsilon = 3.475952509425978e-298 s is out of range: "),
+        (["sweep", "--parameter", "sigma0", "--range", "1e-300", "1e-299"], "is out of range at sigma0 = 1e-300: "),
+    ],
+    ids=["intensity", "sweep"],
+)
+def test_epsilon_out_of_range_is_named(tmp_path, capsys, command, named):
+    # at sigma0 = 1e-300 epsilon is 3.5e-298 s and 2 hbar epsilon underflows to 0
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("sigma0_m = 10e-9", "sigma0_m = 1e-300"))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], "--config", str(config), *command[1:], "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "slit-to-slit time" in err and named in err and "Warning" not in err
+    assert list(tmp_path.iterdir()) == [config]

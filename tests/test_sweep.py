@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,3 +81,46 @@ def test_swept_value_that_trips_a_guard_is_named(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert "non-normalizable closed form at tau = 5e+299" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_sweep_evaluates_only_the_central_window(monkeypatch):
+    # the work contract: 241 points per row, the positions of points 280-520 of the 801-point
+    # default grid, which is every point aggregate_visibility reads there
+    calls = []
+    original = intensity.elt_intensity
+
+    def recording(grid, coeffs, *args, **kwargs):
+        calls.append((grid, coeffs))
+        return original(grid, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(intensity, "elt_intensity", recording)
+    rows = _sweep_rows(RUBIDIUM, "d", 90e-9, 360e-9, SWEEP_CHUNK + 1)
+    assert len(calls) == 2 and sum(len(grid) for grid, _ in calls) == len(rows)
+    for grid, coeffs in calls:
+        assert grid.shape[-1] == 241
+        full = intensity.default_grid(coeffs, points=801)[:, 280:521]
+        scale = np.max(np.abs(full), axis=-1)
+        assert np.all(np.max(np.abs(grid - full), axis=-1) <= 1e-15 * scale)
+
+
+def _mpmath_aggregate_visibility(coeffs, grid):
+    """aggregate_visibility of the looped-path profile on ``grid``, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, c1, c2, c3, gamma = map(mpmath.mpf, (coeffs.amplitude, coeffs.c1, coeffs.c2, coeffs.c3, coeffs.gamma))
+        values = []
+        for x in map(mpmath.mpf, grid.tolist()):
+            u, v = 2 * (c3 - c1 * x * x), 2 * c2 * x
+            diag = mpmath.exp(u + v) + mpmath.exp(u - v)
+            values.append(a * a * (diag + 2 * mpmath.exp(u) * mpmath.cos(2 * gamma * x)))
+        hi, lo = max(values), min(values)
+        return float((hi - lo) / (hi + lo))
+
+
+def test_aggregate_visibility_where_the_window_is_subnormal():
+    # at t = tau = 1e-7 s and d near 5.1e-7 m the raw window values are subnormal doubles
+    config = dataclasses.replace(RUBIDIUM, t=1e-7, tau=1e-7)
+    rows = _sweep_rows(config, "d", 5.05e-7, 5.15e-7, 3)
+    for row in rows:
+        coeffs = closedform.solve(dataclasses.replace(config, d=float(row[0]))).coeffs
+        window = intensity.default_grid(coeffs, points=801)[280:521]
+        assert row[4] == pytest.approx(_mpmath_aggregate_visibility(coeffs, window), rel=1e-12, abs=0)
