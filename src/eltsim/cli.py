@@ -45,11 +45,12 @@ SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 # the positions of points 280-520 of an 801-point default_grid, which is all aggregate_visibility reads
 SWEEP_POINTS = 241
 SWEEP_CHUNK = 32  # configurations per batch: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
-_SWEEP_ROW = ",".join([_FMT] * 6)
 
 
-def _fmt(value: float) -> str:
-    return _FMT % value
+def _rows(*columns) -> list[str]:
+    """One CSV row per element of the broadcast columns, each number in ``_FMT``."""
+    row = ",".join([_FMT] * len(columns))
+    return [row % values for values in zip(*(c.tolist() for c in np.broadcast_arrays(*columns)))]
 
 
 def _require_closed_form(config: PhysicsConfig):
@@ -123,35 +124,21 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, solution: closedfor
     """Screen profile for one named branch of the marked interferometer."""
     if branch == "elt":
         return intensity.elt_intensity(grid, solution.coeffs, normalization)
-    evaluators = intensity.solved_path_evaluators(config, solution.coeffs)
-    if branch in ("ground", "full"):
-        state = marking.post_slit_state(config)
-        if branch == "full":
-            return intensity.branch_intensity(state, grid, config, normalization, evaluators, label="full")
-        ground, _ = marking.measure_internal(state)
-        return intensity.branch_intensity(ground, grid, config, normalization, evaluators, label="ground")
+    if branch not in BRANCHES:
+        raise ConfigError(f"unknown branch {branch!r}")
+    full = marking.post_slit_state(config)
+    ground, _ = marking.measure_internal(full)
+    states = {"full": full, "ground": ground}
     if branch in ("fringes", "antifringes"):
-        a = complex(config.amp_nonexotic)
-        marked = marking.CompositeState.from_unnormalized(
-            {
-                marking.BasisLabel("1", "g", "10"): a,
-                marking.BasisLabel("2", "g", "01"): a,
-            }
-        )
-        plus, minus = marking.eraser_basis_single_detector(marked)
-        chosen = plus if branch == "fringes" else minus
-        return intensity.branch_intensity(chosen, grid, config, normalization, evaluators, label=branch)
-    raise ConfigError(f"unknown branch {branch!r}")
+        # the straight paths are the ground branch; erasing their cavity marks gives the two patterns
+        states["fringes"], states["antifringes"] = marking.eraser_basis_single_detector(ground.collapsed())
+    evaluators = intensity.solved_path_evaluators(config, solution.coeffs)
+    return intensity.branch_intensity(states[branch], grid, config, normalization, evaluators, label=branch)
 
 
 def profile_csv(profile: intensity.IntensityProfile) -> str:
-    lines = ["x_m,intensity,visibility_pointwise"]
-    vis = profile.visibility
-    if vis is None:
-        vis = np.zeros_like(profile.values)
-    for x, value, v in zip(profile.grid, profile.values, vis):
-        lines.append(f"{_fmt(x)},{_fmt(value)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    vis = 0.0 if profile.visibility is None else profile.visibility
+    return "\n".join(["x_m,intensity,visibility_pointwise", *_rows(profile.grid, profile.values, vis)]) + "\n"
 
 
 def cmd_intensity(args, config: PhysicsConfig):
@@ -248,8 +235,7 @@ def cmd_sweep(args, config: PhysicsConfig):
         profile = intensity.elt_intensity(grid, coeffs, "peak")
         agg = intensity.aggregate_visibility(profile, spacing)
         # epsilon depends on d and sigma0 only, so it may be one value for the whole chunk
-        columns = np.broadcast_arrays(chunk, solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
-        lines += [_SWEEP_ROW % row for row in zip(*(c.tolist() for c in columns))]
+        lines += _rows(chunk, solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, "\n".join(lines) + "\n", None, extra
 

@@ -113,6 +113,16 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
             f"2 hbar epsilon = {np.ravel(loop_scale)[i].item()!r} J s^2"
         ),
     )
+    with np.errstate(over="ignore", under="ignore"):  # z0 divides by 2 sigma0^2: name a width that over- or underflows
+        width = 2.0 * np.square(config.sigma0)
+    _check(
+        np.isfinite(width) & (width > 0),
+        config,
+        lambda i, where: (
+            f"packet width sigma0 = {np.ravel(config.sigma0)[i].item()!r} m is out of range{where}: "
+            f"2 sigma0^2 = {np.ravel(width)[i].item()!r} m^2"
+        ),
+    )
     lam = m / loop_scale  # per-segment loop-kernel wavenumber scale
 
     z0 = 1.0 / (2.0 * config.sigma0**2) - 1j * m / (2.0 * hbar * t)

@@ -214,12 +214,12 @@ def branch_intensity(
     cross_sum = np.zeros_like(grid, dtype=complex)
     diag_sum = np.zeros_like(grid)
     for (p, q), w in density.weights.items():
-        contrib = (w * amp[p] * np.conj(amp[q])).real
-        values = values + contrib
+        term = w * amp[p] * np.conj(amp[q])
+        values = values + term.real
         if p == q:
-            diag_sum = diag_sum + contrib
+            diag_sum = diag_sum + term.real
         elif p < q:
-            cross_sum = cross_sum + w * amp[p] * np.conj(amp[q])
+            cross_sum = cross_sum + term
     with np.errstate(invalid="ignore", divide="ignore"):
         vis = np.where(diag_sum > 0, 2.0 * np.abs(cross_sum) / diag_sum, 0.0)
     return _finalize(grid, values, label or "density", normalization, vis)

@@ -116,9 +116,7 @@ def _branch(name: str, unnormalized: dict[BasisLabel, complex]) -> MeasurementBr
     prob = sum(abs(a) ** 2 for a in unnormalized.values())
     if prob <= _NORM_TOL**2:
         return MeasurementBranch(name, 0.0, None)
-    scale = 1.0 / math.sqrt(prob)
-    state = CompositeState({l: a * scale for l, a in unnormalized.items() if a != 0})
-    return MeasurementBranch(name, prob, state)
+    return MeasurementBranch(name, prob, CompositeState.from_unnormalized(unnormalized))
 
 
 def bell_project(state: CompositeState, bell: str) -> MeasurementBranch:

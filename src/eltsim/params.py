@@ -123,6 +123,10 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     """
     delta_p = config.hbar / (math.sqrt(2.0) * config.sigma0)
     delta_v = delta_p / config.mass
+    ok = np.ravel(delta_v > 0)  # epsilon divides by it
+    if not ok.all():
+        at = [np.ravel(np.broadcast_to(v, ok.shape))[np.argmin(ok)].item() for v in (config.sigma0, config.mass)]
+        raise ConfigError("sigma0 = {!r} m is out of range at mass = {!r} kg: Delta v_x underflows to 0".format(*at))
     epsilon = config.d / delta_v
     return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon)
 

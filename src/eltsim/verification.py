@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform, gaussians, oracle
+from . import closedform, gaussians, intensity, oracle
 from .params import PhysicsConfig
 
 ZTABLE_TOL = 1e-12
@@ -132,6 +132,13 @@ def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | Non
     return report
 
 
+def _worst_point(name: str, grid, reference, value, tolerance: float) -> CheckRecord:
+    """Largest pointwise |value - reference| over the grid, relative to the largest |reference|."""
+    devs = np.abs(value - reference) / float(np.max(np.abs(reference)))
+    worst = int(np.argmax(devs))
+    return CheckRecord(name, float(devs[worst]), tolerance, detail=f"worst at x = {grid[worst]:.6e} m")
+
+
 def closed_vs_chain(
     config: PhysicsConfig,
     points: int = 101,
@@ -143,32 +150,14 @@ def closed_vs_chain(
     Deviations are normalized by the largest chain magnitude on the grid. The
     chain carries the opposite global sign (see closedform.CHAIN_SIGN).
     """
-    if points < 1:
-        raise ValueError("need at least one grid point")
     coeffs = (solution or closedform.solve(config)).coeffs
-    if points == 1:
-        grid = np.array([0.0])
-    else:
-        half = 5.0 * math.pi / abs(coeffs.gamma)
-        grid = np.linspace(-half, half, points)
+    grid = np.array([0.0]) if points == 1 else intensity.default_grid(coeffs, points)
 
     report = VerificationReport()
     for loop, closed_fn in (("12", closedform.psi12), ("21", closedform.psi21)):
         chain = gaussians.chain_exotic(loop, config).evaluate(grid)
         closed = closedform.CHAIN_SIGN * closed_fn(grid, coeffs)
-        chain = np.atleast_1d(chain)
-        closed = np.atleast_1d(closed)
-        scale = float(np.max(np.abs(chain)))
-        devs = np.abs(closed - chain) / scale
-        worst = int(np.argmax(devs))
-        report.add(
-            CheckRecord(
-                f"closed-vs-chain/loop{loop}",
-                float(devs[worst]),
-                tolerance,
-                detail=f"worst at x = {grid[worst]:.6e} m",
-            )
-        )
+        report.add(_worst_point(f"closed-vs-chain/loop{loop}", grid, chain, closed, tolerance))
     return report
 
 
@@ -180,27 +169,12 @@ def chain_vs_quadrature(
 ) -> VerificationReport:
     """Propagator chain against direct 2-D quadrature of the loop integral."""
     coeffs = (solution or closedform.solve(config)).coeffs
-    spacing = math.pi / abs(coeffs.gamma)
     offsets = np.linspace(-1.7, 1.7, points) if points > 1 else np.array([0.3])
-    grid = offsets * spacing
+    grid = offsets * intensity.fringe_spacing(coeffs)
 
-    form = gaussians.chain_exotic("12", config)
-    chain = np.atleast_1d(form.evaluate(grid))
+    chain = gaussians.chain_exotic("12", config).evaluate(grid)
     quad_vals = np.array([oracle.looped_path_value(config, float(x)) for x in grid])
-    scale = float(np.max(np.abs(chain)))
-
-    report = VerificationReport()
-    devs = np.abs(quad_vals - chain) / scale
-    worst = int(np.argmax(devs))
-    report.add(
-        CheckRecord(
-            "chain-vs-quadrature/loop12",
-            float(devs[worst]),
-            tolerance,
-            detail=f"worst at x = {grid[worst]:.6e} m",
-        )
-    )
-    return report
+    return VerificationReport([_worst_point("chain-vs-quadrature/loop12", grid, chain, quad_vals, tolerance)])
 
 
 def full_verification(

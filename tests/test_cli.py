@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from eltsim.cli import main
+from eltsim import closedform, intensity, params
+from eltsim.cli import branch_profile, main, profile_csv
 
 CONFIG_TEXT = """\
 mass_kg = 1.44e-25
@@ -94,6 +95,43 @@ def test_fringes_and_antifringes_sum(config_path, tmp_path):
     assert np.all(total > 0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"amp_nonexotic": complex(0.6, -0.8)}, {"t": 1e-7, "tau": 1e-7}],
+    ids=["rubidium", "complex-amplitude", "short-legs"],
+)
+def test_erasure_recovers_twice_the_ground_branch(overrides):
+    # |b1 psi1 + b2 psi2|^2 + |b1 psi1 - b2 psi2|^2 = 2 (|b1 psi1|^2 + |b2 psi2|^2): the cross terms cancel
+    config = params.rubidium_config(**overrides)
+    solution = closedform.solve(config)
+    grid = intensity.default_grid(solution.coeffs, points=401)
+    raw = {b: branch_profile(b, grid, config, solution, "raw").values for b in ("ground", "fringes", "antifringes")}
+    assert np.all(raw["ground"] > 0)
+    np.testing.assert_allclose(raw["fringes"] + raw["antifringes"], 2.0 * raw["ground"], rtol=1e-12, atol=0)
+
+
+def test_csv_numbers_are_exact_scientific_text():
+    values = np.array([-0.0, 5e-324, 1e300])
+    profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, "hand", "raw", visibility=values)
+    assert profile_csv(profile) == (
+        "x_m,intensity,visibility_pointwise\n"
+        "-1.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
+        "0.0000000000000000e+00,4.9406564584124654e-324,4.9406564584124654e-324\n"
+        "9.9999999999999995e-08,1.0000000000000001e+300,1.0000000000000001e+300\n"
+    )
+    profile.visibility = None
+    assert [line.split(",")[2] for line in profile_csv(profile).splitlines()[1:]] == ["0.0000000000000000e+00"] * 3
+
+
+def test_sweep_rows_repeat_a_scalar_epsilon(config_path, capsys):
+    # epsilon depends on d and sigma0 only, so a sweep of t solves one epsilon for every row
+    code = main(["sweep", "--config", config_path, "--parameter", "t", "--range", "10e-6", "30e-6", "--steps", "5"])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    epsilon = params.derive(params.load_config(config_path)).epsilon
+    assert [row.split(",")[1] for row in rows] == ["%.16e" % epsilon] * 5
+
+
 def test_custom_grid_flags(config_path, tmp_path, capsys):
     code = main(
         ["intensity", "--config", config_path, "--grid-min=-1e-6", "--grid-max=1e-6", "--grid-points", "5"]
@@ -141,6 +179,11 @@ def test_verify_fault_injection_names_term(config_path, capsys):
     out = capsys.readouterr().out
     assert "verification FAILED" in out
     assert "worst offender: ztable/z5" in out
+
+
+def test_verify_rejects_zero_points(config_path, capsys):
+    assert main(["verify", "--config", config_path, "--points", "0", "--skip-quadrature"]) == 2
+    assert "at least one point" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_corrupt_target(config_path):
@@ -223,4 +266,26 @@ def test_epsilon_out_of_range_is_named(tmp_path, capsys, command, named):
     assert code == 2
     err = capsys.readouterr().err
     assert "slit-to-slit time" in err and named in err and "Warning" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "sigma0, named",
+    [
+        ("1e-170", "packet width sigma0 = 1e-170 m is out of range: 2 sigma0^2 = 0.0 m^2"),
+        ("1e300", "sigma0 = 1e+300 m is out of range at mass = 1.44e-25 kg: Delta v_x"),
+    ],
+    ids=["width-underflows", "velocity-underflows"],
+)
+def test_sigma0_out_of_range_is_named(tmp_path, capsys, sigma0, named):
+    # 1e-170: z0 = 1/(2 sigma0^2) divides by an underflowed 0; 1e300: epsilon = d / Delta v_x does
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("sigma0_m = 10e-9", f"sigma0_m = {sigma0}"))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["intensity", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Warning" not in err
     assert list(tmp_path.iterdir()) == [config]
