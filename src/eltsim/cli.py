@@ -132,8 +132,7 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, solution: closedfor
     if branch in ("fringes", "antifringes"):
         # the straight paths are the ground branch; erasing their cavity marks gives the two patterns
         states["fringes"], states["antifringes"] = marking.eraser_basis_single_detector(ground.collapsed())
-    evaluators = intensity.solved_path_evaluators(config, solution.coeffs)
-    return intensity.branch_intensity(states[branch], grid, config, normalization, evaluators, label=branch)
+    return intensity.branch_intensity(states[branch], grid, config, normalization, label=branch)
 
 
 def profile_csv(profile: intensity.IntensityProfile) -> str:
@@ -155,7 +154,6 @@ def cmd_verify(args, config: PhysicsConfig):
     report = verification.full_verification(
         config,
         points=args.points,
-        tolerance=args.tolerance,
         quadrature=not args.skip_quadrature,
         corrupt=args.corrupt_z,
         solution=solution,
@@ -168,7 +166,8 @@ def cmd_verify(args, config: PhysicsConfig):
             text += f", {worst.detail}"
         text += "\n"
     code = EXIT_OK if report.passed else EXIT_VERIFY
-    return code, text, solution, {"points": args.points, "tolerance": args.tolerance, "passed": report.passed}
+    extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "passed": report.passed}
+    return code, text, solution, extra
 
 
 def _prob(p: float) -> str:
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="cross-check closed forms against the chain and quadrature")
     common(p_ver)
     p_ver.add_argument("--points", type=int, default=101)
-    p_ver.add_argument("--tolerance", type=float, default=verification.DEFAULT_CHAIN_TOL)
     p_ver.add_argument("--skip-quadrature", action="store_true", help="skip the slow 2-D quadrature check")
     p_ver.add_argument("--corrupt-z", default=None, metavar="NAME", help="fault injection: corrupt one z-table entry (test mode)")
     p_ver.set_defaults(func=cmd_verify)

@@ -1,4 +1,4 @@
-"""Closed-form looped-path wavefunctions psi12 / psi21.
+"""Closed-form looped-path wavefunctions psi12 / psi21: the paper's reference.
 
 The looped-path chain (packet -> slit 1 -> slit 2 -> slit 1 -> screen) reduces
 to a single complex Gaussian whose stage-by-stage quadratic coefficients form
@@ -24,10 +24,10 @@ degeneracy guards are masked checks that raise ``DegenerateConfigError``
 naming the first swept value that trips them. A single configuration stays
 in Python scalar arithmetic.
 
-Sign convention: the chain evaluator in :mod:`eltsim.gaussians` returns
-exactly ``CHAIN_SIGN`` times this closed form. The minus sign is the global
-phase that the composite-state construction carries explicitly on the two
-looped-path amplitudes, so intensities are unaffected.
+Branch profiles take every path amplitude from the propagator chain of
+:mod:`eltsim.gaussians`; ``elt_intensity``, the default grid and ``sweep``
+read the coefficients, and ``psi12`` / ``psi21`` serve verification, which
+checks that the chain returns exactly ``CHAIN_SIGN`` times this closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .params import DerivedQuantities, PhysicsConfig, derive, swept
 
-# chain evaluation = CHAIN_SIGN * closed form (global phase, see module docstring)
+# chain evaluation = CHAIN_SIGN * closed form, a global phase (mu is on the chain's branch)
 CHAIN_SIGN = -1.0
 
 
@@ -314,10 +314,10 @@ def expanded_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: Deriv
 
 
 def gouy_phase(zt: ZTable) -> float:
-    """Axial Gouy phase mu = (1/2) atan2(gouy_zi, gouy_zr), in (-pi/2, pi/2].
+    """The paper's axial Gouy phase (1/2) atan2(gouy_zi, gouy_zr), in (-pi/2, pi/2].
 
-    The two-argument arctangent fixes the branch; continuity over parameter
-    sweeps is the tiebreaker for this choice.
+    It wraps by pi where z0 z1 z2 z3 crosses the branch cut; the mu of
+    ``build_coefficients`` equals it modulo pi (checked by verification).
     """
     if np.any((zt.gouy_zr == 0.0) & (zt.gouy_zi == 0.0)):
         raise DegenerateConfigError("Gouy phase undefined: both composites vanish")
@@ -351,14 +351,15 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
         alpha=alpha,
         gamma=linear.imag,
         theta=const.imag,
-        mu=gouy_phase(zt),
+        # the chain's branch (one principal square root per stage, Re z_k > 0): continuous where gouy_phase wraps
+        mu=math.pi / 4.0 - 0.5 * (np.angle(zt.z0) + np.angle(zt.z1) + np.angle(zt.z2) + np.angle(zt.z3)),
     )
     _check(
-        (amplitude > 0) & (c1 > 0),
+        (amplitude > 0) & (c1 > 0)
+        & np.isfinite(amplitude) & np.isfinite(quad) & np.isfinite(linear) & np.isfinite(const),
         config,
-        lambda i, where: (
-            f"non-normalizable closed form{where}: "
-            f"A={np.ravel(amplitude)[i].item()!r}, C1={np.ravel(c1)[i].item()!r}"
+        lambda i, where: f"non-normalizable closed form{where}: " + ", ".join(
+            f"{name}={np.ravel(value)[i].item()!r}" for name, value in vars(coeffs).items()
         ),
     )
     return coeffs

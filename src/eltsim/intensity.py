@@ -1,18 +1,17 @@
 """Screen-plane observables: intensity profiles, visibility, predictability.
 
 A branch's screen profile is <x|rho|x> assembled from the path weight matrix
-of the reduced center-of-mass state and the pointwise path amplitudes: the
-straight paths come from the exact propagator chain, the looped paths from
-the closed form. Looped-path evaluators use the closed form's sign
-convention; weight matrices built from the composite state carry the
-matching explicit minus, so all branch profiles are mutually consistent.
+of the reduced center-of-mass state and the pointwise amplitudes of all four
+paths (1, 2, 12, 21), each evaluated through the exact propagator chain of
+:mod:`eltsim.gaussians`.
 
-The looped-paths-only profile ``elt_intensity`` is evaluated in real
-arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
+The looped-paths-only profile ``elt_intensity`` is evaluated from the closed
+form's coefficients in real arithmetic: with u = 2(C3 - C1 x^2) and
+v = 2 C2 x,
 
-    |psi12 + psi21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
+    |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
 
-because psi21(x) = psi12(-x). ``elt_intensity``, ``default_grid``,
+because ψ21(x) = ψ12(-x). ``elt_intensity``, ``default_grid``,
 ``fringe_spacing``, ``aggregate_visibility`` and the clamp and normalization
 of every profile work along the last axis, so coefficients solved for N
 configurations at once give an (N, points) block in one call, the way
@@ -132,14 +131,14 @@ def visibility_predictability(i1: float, i2: float, cross_magnitude: float) -> D
 
 
 def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
-    """Looped-paths-only interference pattern |psi12 + psi21|^2.
+    """Looped-paths-only interference pattern |ψ12 + ψ21|^2.
 
     Evaluated in the real form A^2 [e^(u+v) + e^(u-v) + 2 e^u cos(2 gamma x)]
-    (module docstring), equal to |psi12|^2 + |psi21|^2 + 2 Re(psi12 psi21*)
-    without a complex exponential. Symmetric in x because psi21(x) =
-    psi12(-x). For coefficients of N configurations ``grid`` is (N, points),
-    one row each; the pointwise visibility is 0 where |psi12|^2 + |psi21|^2
-    underflows to 0.
+    (module docstring), equal to |ψ12|^2 + |ψ21|^2 + 2 Re(ψ12 ψ21*)
+    without a complex exponential. Symmetric in x because ψ21(x) = ψ12(-x).
+    For coefficients of N configurations ``grid`` is (N, points), one row
+    each; the pointwise visibility is 0 where |ψ12|^2 + |ψ21|^2 underflows
+    to 0.
 
     ``peak`` and ``area`` are ratios, so for them each row's exponents are
     shifted by its largest, max(u + |v|), before ``exp``: the largest term is
@@ -152,8 +151,8 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
     v = _per_row(2.0 * coeffs.c2) * grid
     if normalization != "raw":
         u = u - _per_row(np.max(u + np.abs(v), axis=-1))
-    diag = np.exp(u + v) + np.exp(u - v)  # |psi12|^2 + |psi21|^2
-    cross = 2.0 * np.exp(u)  # 2 |psi12 psi21*|
+    diag = np.exp(u + v) + np.exp(u - v)  # |ψ12|^2 + |ψ21|^2
+    cross = 2.0 * np.exp(u)  # 2 |ψ12 ψ21*|
     del u, v  # a sweep block holds many points: keep few of its temporaries alive at once
     values = diag + cross * np.cos(_per_row(2.0 * coeffs.gamma) * grid)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -162,19 +161,12 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
 
 
 def path_evaluators(config: PhysicsConfig):
-    """Pointwise amplitude evaluator for every path label."""
-    return solved_path_evaluators(config, closedform.solve(config).coeffs)
-
-
-def solved_path_evaluators(config: PhysicsConfig, coeffs: closedform.EltCoefficients):
-    """``path_evaluators`` with the looped paths on already solved coefficients."""
-    form1 = gaussians.chain_nonexotic(1, config)
-    form2 = gaussians.chain_nonexotic(2, config)
+    """Pointwise amplitude evaluator for every path label, each a propagator chain."""
     return {
-        "1": form1.evaluate,
-        "2": form2.evaluate,
-        "12": lambda x: closedform.psi12(x, coeffs),
-        "21": lambda x: closedform.psi21(x, coeffs),
+        "1": gaussians.chain_nonexotic(1, config).evaluate,
+        "2": gaussians.chain_nonexotic(2, config).evaluate,
+        "12": gaussians.chain_exotic("12", config).evaluate,
+        "21": gaussians.chain_exotic("21", config).evaluate,
     }
 
 

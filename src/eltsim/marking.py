@@ -84,8 +84,9 @@ def post_slit_state(config: PhysicsConfig) -> CompositeState:
 
     Straight paths arrive flagged: path 1 left a photon in cavity A (label
     ``10``), path 2 in cavity B (``01``). Looped paths reabsorbed their photon
-    and arrive excited with both cavities in vacuum; their amplitudes carry
-    the explicit minus sign of the chain's global phase.
+    and arrive excited with both cavities in vacuum, with the minus sign of
+    the paper's closed form relative to the chain. The partial trace keeps no
+    straight-loop coherence, so no screen profile depends on that minus.
     """
     a = complex(config.amp_nonexotic)
     a_loop = complex(config.amp_exotic)
@@ -149,11 +150,9 @@ def measure_bell_cavities(state: CompositeState) -> tuple[MeasurementBranch, Mea
     phi_plus = bell_project(state, "phi+")
     phi_minus = bell_project(state, "phi-")
     remainder: dict[BasisLabel, complex] = {}
-    for label, amp in state.terms.items():
+    for label, amp in state.terms.items():  # bell_project has rejected every label that is neither Fock nor Bell
         if label.cavities in ("00", "11", "psi+", "psi-"):
             remainder[label] = remainder.get(label, 0.0) + amp
-        elif label.cavities not in FOCK_LABELS and label.cavities not in BELL_CAVITY_STATES:
-            raise StateError(f"cavity label {label.cavities!r} is not Fock or Bell")
     rest = _branch("remainder", remainder)
     total = phi_plus.probability + phi_minus.probability + rest.probability
     if abs(total - 1.0) > 1e-10:

@@ -95,7 +95,7 @@ def _gauss_legendre_2d(f, x_center, x_half, y_center, y_half, order):
 
 
 def looped_path_value(config: PhysicsConfig, x: float, rel_tol: float = 1e-7) -> complex:
-    """psi12(x): direct 2-D quadrature over the two loop crossing points.
+    """Loop-12 amplitude at x: direct 2-D quadrature over the two loop crossing points.
 
     The initial and final legs are folded in analytically (single Gaussian
     integrals written out here); the two-variable slit-to-slit-and-back

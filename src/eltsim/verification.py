@@ -5,7 +5,8 @@ Three layers, from cheapest to most expensive:
 * z-table consistency: the expanded real-arithmetic product formulas must
   reproduce the direct complex products (transcription containment);
 * coefficient terms: each expanded coefficient term must match its compact
-  complex counterpart, so a wrong term is named individually;
+  complex counterpart, so a wrong term is named individually (and mu the
+  paper's Gouy phase modulo pi);
 * wavefunction equivalence: the closed-form psi12/psi21 must agree with the
   exact propagator chain pointwise, and the chain in turn with direct 2-D
   quadrature of the loop integral.
@@ -116,7 +117,8 @@ def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | Non
     """Per-term agreement between expanded and compact coefficient formulas.
 
     Any single wrong term in the linear (C2/gamma) or constant (C3/theta)
-    coefficient tables shows up here under its own name.
+    coefficient tables shows up here under its own name. ``term/mu`` is the
+    distance of mu from the paper's ``gouy_phase`` modulo pi, in radians.
     """
     solution = solution or closedform.solve(config)
     derived, zt = solution.derived, solution.ztable
@@ -129,6 +131,8 @@ def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | Non
     for name, reference in compact.items():
         dev = _rel(abs(expanded[name] - reference), abs(reference))
         report.add(CheckRecord(f"term/{name}", dev, TERM_TOL))
+    mu_offset = math.remainder(solution.coeffs.mu - closedform.gouy_phase(zt), math.pi)
+    report.add(CheckRecord("term/mu", abs(mu_offset), TERM_TOL))
     return report
 
 
@@ -180,7 +184,6 @@ def chain_vs_quadrature(
 def full_verification(
     config: PhysicsConfig,
     points: int = 101,
-    tolerance: float = DEFAULT_CHAIN_TOL,
     quadrature: bool = True,
     corrupt: str | None = None,
     solution: closedform.Solution | None = None,
@@ -189,7 +192,7 @@ def full_verification(
     parts = [
         ztable_consistency(config, corrupt=corrupt, solution=solution),
         coefficient_terms(config, solution=solution),
-        closed_vs_chain(config, points=points, tolerance=tolerance, solution=solution),
+        closed_vs_chain(config, points=points, solution=solution),
     ]
     if quadrature:
         parts.append(chain_vs_quadrature(config, solution=solution))
