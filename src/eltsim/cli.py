@@ -1,15 +1,15 @@
 """Command-line surface: intensity profiles, verification, state reports, sweeps.
 
-Each ``cmd_*`` returns its exit code, its text, the solution of its
-configuration (``closedform.solve``) when it made one, and its manifest
-fields. ``main`` writes the text to ``--out`` (stdout when it is not given)
-and, with ``--out``, the reproducibility record ``<out>.manifest.json``
-beside it, from that solution or, when the command made none, from one solve
-there. ``intensity`` and ``verify`` thus solve once. ``sweep`` solves its
-values in batches of ``SWEEP_CHUNK`` configurations, one array solve and one
-(configurations x window) profile block each, so its memory stays flat in
-``--steps``; its manifest solves the base configuration once. Each row is
-scored on the central three fringes alone, the window its
+Each ``cmd_*`` returns its exit code, its text, the closed-form solution of
+its configuration (``closedform.solve``) and its manifest fields. ``main``
+writes the text to ``--out`` (stdout when it is not given) and, with
+``--out``, the reproducibility record ``<out>.manifest.json`` beside it,
+from that solution: ``verify`` solves once, every other command only with
+``--out``. ``intensity`` and ``sweep`` read the propagator chain, so they
+accept a nonzero ``eta``. ``sweep`` reads its values in batches of
+``SWEEP_CHUNK`` configurations, one array chain and one (configurations x
+window) profile block each, so its memory stays flat in ``--steps``. Each
+row is scored on the central three fringes alone, the window its
 ``aggregate_visibility`` reads, at the default grid's spacing.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__, closedform, intensity, marking, verification
-from .params import ConfigError, PhysicsConfig, config_as_dict, load_config, validate_regime
+from .params import ConfigError, PhysicsConfig, config_as_dict, derive, load_config, validate_regime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,20 +53,15 @@ def _rows(*columns) -> list[str]:
     return [row % values for values in zip(*(c.tolist() for c in np.broadcast_arrays(*columns)))]
 
 
-def _require_closed_form(config: PhysicsConfig):
-    """intensity and sweep evaluate the looped paths in closed form, which holds for eta = 0 only."""
-    if config.eta != 0.0:
-        raise ConfigError(
-            f"eta = {config.eta!r} s is nonzero; intensity and sweep use the closed form, "
-            "which assumes eta = 0 (verify measures the deviation)"
-        )
-
-
-def _load(args) -> PhysicsConfig:
-    config = load_config(args.config)
+def _warn(config: PhysicsConfig):
+    """Print the regime warnings of a configuration, or of all the values of a swept one."""
     for warning in validate_regime(config):
         print(f"warning: {warning}", file=sys.stderr)
-    return config
+
+
+def _reference(args, config: PhysicsConfig):
+    """The closed-form solution a manifest records; solved only when ``--out`` asks for one."""
+    return closedform.solve(config) if args.out is not None else None
 
 
 def _grid(args, coeffs) -> np.ndarray:
@@ -120,10 +115,10 @@ def write_manifest(out_path, config: PhysicsConfig, solution: closedform.Solutio
         fh.write("\n")
 
 
-def branch_profile(branch: str, grid, config: PhysicsConfig, solution: closedform.Solution, normalization: str):
-    """Screen profile for one named branch of the marked interferometer."""
+def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.EltCoefficients, normalization: str):
+    """Screen profile for one named branch of the marked interferometer (``elt`` reads ``coeffs``)."""
     if branch == "elt":
-        return intensity.elt_intensity(grid, solution.coeffs, normalization)
+        return intensity.elt_intensity(grid, coeffs, normalization)
     if branch not in BRANCHES:
         raise ConfigError(f"unknown branch {branch!r}")
     full = marking.post_slit_state(config)
@@ -141,15 +136,18 @@ def profile_csv(profile: intensity.IntensityProfile) -> str:
 
 
 def cmd_intensity(args, config: PhysicsConfig):
-    _require_closed_form(config)
-    solution = closedform.solve(config)
-    grid = _grid(args, solution.coeffs)
+    _warn(config)
+    solution = _reference(args, config)
+    coeffs = intensity.loop_coefficients(config)
+    grid = _grid(args, coeffs)
     normalization = "raw" if args.raw else "peak"
-    profile = branch_profile(args.branch, grid, config, solution, normalization)
-    return EXIT_OK, profile_csv(profile), solution, {"branch": args.branch, "normalization": normalization}
+    profile = branch_profile(args.branch, grid, config, coeffs, normalization)
+    extra = {"branch": args.branch, "normalization": normalization, "clamped_points": profile.clamped_points}
+    return EXIT_OK, profile_csv(profile), solution, extra
 
 
 def cmd_verify(args, config: PhysicsConfig):
+    _warn(config)
     solution = closedform.solve(config)
     report = verification.full_verification(
         config,
@@ -185,6 +183,8 @@ def _state_table(state: marking.CompositeState) -> list[str]:
 
 
 def cmd_states(args, config: PhysicsConfig):
+    _warn(config)
+    solution = _reference(args, config)
     state = marking.post_slit_state(config)
     lines = ["post-slit composite state:"]
     lines += _state_table(state)
@@ -208,13 +208,12 @@ def cmd_states(args, config: PhysicsConfig):
     lines.append("reduced center-of-mass weight matrix (paths " + ", ".join(paths) + "):")
     for row in mat:
         lines.append("  " + "  ".join(f"{w.real:+.12e}{w.imag:+.12e}j" for w in row))
-    return EXIT_OK, "\n".join(lines) + "\n", None, {"measurement": args.measurement}
+    return EXIT_OK, "\n".join(lines) + "\n", solution, {"measurement": args.measurement}
 
 
 def cmd_sweep(args, config: PhysicsConfig):
     if args.parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {args.parameter!r}")
-    _require_closed_form(config)
     lo, hi = args.range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"--range ends must be finite numbers, got {lo!r} {hi!r}")
@@ -223,20 +222,22 @@ def cmd_sweep(args, config: PhysicsConfig):
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
+    swept = dataclasses.replace(config, **{args.parameter: values})
+    _warn(swept)  # derives every value first: a value out of range is named before any row is made
+    # epsilon depends on d and sigma0 only, so it may be one value for all rows
+    epsilon = np.broadcast_to(derive(swept).epsilon, values.shape)
 
     lines = ["param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad"]
     for start in range(0, values.size, SWEEP_CHUNK):
-        chunk = values[start : start + SWEEP_CHUNK]
-        solution = closedform.solve(dataclasses.replace(config, **{args.parameter: chunk}))
-        coeffs = solution.coeffs
+        chunk = slice(start, start + SWEEP_CHUNK)
+        coeffs = intensity.loop_coefficients(dataclasses.replace(config, **{args.parameter: values[chunk]}))
         spacing = intensity.fringe_spacing(coeffs)
         grid = intensity.default_grid(coeffs, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
         profile = intensity.elt_intensity(grid, coeffs, "peak")
         agg = intensity.aggregate_visibility(profile, spacing)
-        # epsilon depends on d and sigma0 only, so it may be one value for the whole chunk
-        lines += _rows(chunk, solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu)
+        lines += _rows(values[chunk], epsilon[chunk], coeffs.gamma, spacing, agg, coeffs.mu)
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
-    return EXIT_OK, "\n".join(lines) + "\n", None, extra
+    return EXIT_OK, "\n".join(lines) + "\n", _reference(args, config), extra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load(args)
+        config = load_config(args.config)
         code, text, solution, extra = args.func(args, config)
         _write_text(args.out, text)
         if args.out is not None:
-            write_manifest(args.out, config, solution or closedform.solve(config), args.command, extra)
+            write_manifest(args.out, config, solution, args.command, extra)
         return code
     except ValueError as exc:  # ConfigError and every other named error subclass it
         print(f"error: {exc}", file=sys.stderr)

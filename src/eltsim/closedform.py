@@ -14,20 +14,15 @@ is computed twice: from a compact complex expression (authoritative) and from
 the expanded real/imaginary component formulas (cross-check). Keeping both
 routes contains transcription errors; the verifier reports any per-term
 disagreement by name. ``solve`` is the one place that turns a configuration
-into its derived kinematics, z-table and coefficients.
+into its derived kinematics, z-table and coefficients; it broadcasts over a
+configuration whose swept field is a 1-D array (``params.swept``), and its
+guards name the first swept value that trips them.
 
-``derive``, ``build_ztable``, ``build_coefficients`` and ``gouy_phase``
-broadcast: a configuration whose swept field is a 1-D array (see
-``params.swept``) is solved for every value in one pass, each z-table entry
-and coefficient then being an array with one element per configuration. The
-degeneracy guards are masked checks that raise ``DegenerateConfigError``
-naming the first swept value that trips them. A single configuration stays
-in Python scalar arithmetic.
-
-Branch profiles take every path amplitude from the propagator chain of
-:mod:`eltsim.gaussians`; ``elt_intensity``, the default grid and ``sweep``
-read the coefficients, and ``psi12`` / ``psi21`` serve verification, which
-checks that the chain returns exactly ``CHAIN_SIGN`` times this closed form.
+Nothing on the hot path reads the closed form: every profile and sweep row
+comes from the propagator chain of :mod:`eltsim.gaussians`. The closed form
+is the reference that verification checks the chain against (the chain is
+exactly ``CHAIN_SIGN`` times it, for eta = 0) and the coefficient record of
+every manifest.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedQuantities, PhysicsConfig, derive, swept
+from .params import DerivedQuantities, PhysicsConfig, check, derive
 
 # chain evaluation = CHAIN_SIGN * closed form, a global phase (mu is on the chain's branch)
 CHAIN_SIGN = -1.0
@@ -70,8 +65,9 @@ class ZTable:
 
 @dataclass(frozen=True)
 class EltCoefficients:
-    """Coefficient bundle of the closed-form looped-path wavefunction; arrays
-    for an array-valued configuration."""
+    """Coefficient bundle of the looped-path wavefunction psi12, from the closed
+    form or read off the chain (``intensity.loop_coefficients``); arrays for
+    an array-valued configuration."""
 
     amplitude: float  # A, m^(-1/2)
     c1: float  # envelope curvature, 1/m^2
@@ -83,66 +79,30 @@ class EltCoefficients:
     mu: float  # Gouy phase, rad
 
 
-def _check(ok, config: PhysicsConfig, describe) -> None:
-    """Raise DegenerateConfigError(describe(i, where)) for the first configuration
-    i where ``ok`` fails; ``where`` names its swept value, '' for one configuration."""
-    ok = np.asarray(ok)
-    if ok.all():
-        return
-    i = int(np.argmin(ok)) if ok.ndim else 0
-    field = swept(config)
-    where = f" at {field[0]} = {field[1][i].item()!r}" if field else ""
-    raise DegenerateConfigError(describe(i, where))
-
-
-def _guard(z, name: str, config: PhysicsConfig):
-    _check(z != 0, config, lambda i, where: f"{name} vanishes{where}; division is undefined")
-    return z
-
-
 def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
-    """z-table for eta = 0; the recursion mirrors the chain stage by stage."""
+    """z-table for eta = 0; the recursion mirrors the chain stage by stage. No z_k
+    vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a positive real part."""
     m, hbar = config.mass, config.hbar
     t, tau, eps = config.t, config.tau, derived.epsilon
-    loop_scale = 2.0 * hbar * eps
-    _check(
-        np.isfinite(loop_scale) & (loop_scale > 0),
-        config,
-        lambda i, where: (
-            f"slit-to-slit time epsilon = {np.ravel(eps)[i].item()!r} s is out of range{where}: "
-            f"2 hbar epsilon = {np.ravel(loop_scale)[i].item()!r} J s^2"
-        ),
-    )
-    with np.errstate(over="ignore", under="ignore"):  # z0 divides by 2 sigma0^2: name a width that over- or underflows
-        width = 2.0 * np.square(config.sigma0)
-    _check(
-        np.isfinite(width) & (width > 0),
-        config,
-        lambda i, where: (
-            f"packet width sigma0 = {np.ravel(config.sigma0)[i].item()!r} m is out of range{where}: "
-            f"2 sigma0^2 = {np.ravel(width)[i].item()!r} m^2"
-        ),
-    )
-    lam = m / loop_scale  # per-segment loop-kernel wavenumber scale
+    lam = m / (2.0 * hbar * eps)  # per-segment loop-kernel wavenumber scale
 
     z0 = 1.0 / (2.0 * config.sigma0**2) - 1j * m / (2.0 * hbar * t)
     kt = m / (hbar * t)
     z1 = (
         1.0 / (2.0 * config.beta**2)
-        + kt * kt / (4.0 * _guard(z0, "z0", config))
+        + kt * kt / (4.0 * z0)
         - 1j * (m / (4.0 * hbar * eps) + m / (2.0 * hbar * t))
     )
     z2 = (
         1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * _guard(z1, "z1", config))
+        + lam * lam / (4.0 * z1)
         - 1j * m / (2.0 * hbar * eps)
     )
     z3 = (
         1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * _guard(z2, "z2", config))
+        + lam * lam / (4.0 * z2)
         - 1j * (m / (2.0 * hbar * tau) + m / (4.0 * hbar * eps))
     )
-    _guard(z3, "z3", config)
 
     big_z = z0 * z1 * z2 * z3
     return ZTable(
@@ -354,13 +314,14 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
         # the chain's branch (one principal square root per stage, Re z_k > 0): continuous where gouy_phase wraps
         mu=math.pi / 4.0 - 0.5 * (np.angle(zt.z0) + np.angle(zt.z1) + np.angle(zt.z2) + np.angle(zt.z3)),
     )
-    _check(
+    check(
         (amplitude > 0) & (c1 > 0)
         & np.isfinite(amplitude) & np.isfinite(quad) & np.isfinite(linear) & np.isfinite(const),
         config,
-        lambda i, where: f"non-normalizable closed form{where}: " + ", ".join(
-            f"{name}={np.ravel(value)[i].item()!r}" for name, value in vars(coeffs).items()
+        lambda at, where: f"non-normalizable closed form{where}: " + ", ".join(
+            f"{name}={at(value)!r}" for name, value in vars(coeffs).items()
         ),
+        DegenerateConfigError,
     )
     return coeffs
 

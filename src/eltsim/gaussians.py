@@ -4,9 +4,12 @@ Every intermediate state of the interferometer is an unnormalized complex
 Gaussian ``prefactor * exp(-a x^2 + b x + c)`` with Re(a) > 0. Free
 propagation and Gaussian slit transmission map such forms to such forms via
 the identity  integral exp(-A y^2 + B y) dy = sqrt(pi/A) exp(B^2/4A)  for
-Re(A) > 0 (principal-branch square roots throughout). The chain evaluator
-here is exact, so it doubles as the independent oracle for the closed-form
-looped-path coefficients in :mod:`eltsim.closedform`.
+Re(A) > 0 (principal-branch square roots throughout). The chain is exact;
+every path amplitude and looped-path coefficient on the hot path comes from
+it, and verification checks the closed form of :mod:`eltsim.closedform`
+against it. Forms and chains broadcast: over a configuration whose swept
+field is a 1-D array (``params.swept``) every coefficient is an array with
+one element per configuration.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import PhysicsConfig, derive
+from .params import PhysicsConfig, check, derive
 
 # exp() overflow guard for the real part of the exponent
 _EXP_LIMIT = 700.0
 
 
 class DegenerateChainError(ValueError):
-    """A Gaussian integration step hit Re(A) <= 0: the chain is invalid."""
+    """A Gaussian form with Re(a) <= 0 or a non-finite coefficient: not normalizable."""
 
 
 class EvaluationError(ValueError):
@@ -46,12 +49,24 @@ class GaussianForm:
     prefactor: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "prefactor"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"non-finite coefficient {name}: {v!r}")
-        if self.a.real <= 0:
-            raise DegenerateChainError(f"Re(a) must be positive, got {self.a!r}")
+        values = vars(self).values()
+        # a batch is checked once, by the chain that built it, which can name the configuration that fails;
+        # one configuration checks itself in Python scalar arithmetic and, when it fails, raises as a batch would
+        if np.ndarray not in set(map(type, values)) and not (all(map(cmath.isfinite, values)) and self.a.real > 0):
+            self.normalizable()
+
+    def normalizable(self, config: PhysicsConfig | None = None) -> GaussianForm:
+        """This form, checked finite with Re(a) > 0 for every configuration of ``config`` it holds."""
+        check(
+            np.isfinite(self.a) & np.isfinite(self.b) & np.isfinite(self.c) & np.isfinite(self.prefactor)
+            & (np.real(self.a) > 0),
+            config,
+            lambda at, where: f"non-normalizable Gaussian form{where}: " + ", ".join(
+                f"{name}={at(value)!r}" for name, value in vars(self).items()
+            ),
+            DegenerateChainError,
+        )
+        return self
 
     def evaluate(self, x):
         """Value at real position x (scalar or array)."""
@@ -67,6 +82,12 @@ class GaussianForm:
         """integral |form(x)|^2 dx, in closed form."""
         ar, br, cr = 2.0 * self.a.real, 2.0 * self.b.real, 2.0 * self.c.real
         return abs(self.prefactor) ** 2 * math.sqrt(math.pi / ar) * math.exp(br * br / (4.0 * ar) + cr)
+
+
+def _sqrt(z):
+    # one configuration stays in Python's complex arithmetic, as in every other step: cmath.sqrt and
+    # np.sqrt round a number on the imaginary axis (every propagator constant) differently in the last bit
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 def initial_packet(config: PhysicsConfig) -> GaussianForm:
@@ -88,63 +109,55 @@ def apply_slit(form: GaussianForm, center: float, beta: float) -> GaussianForm:
     )
 
 
-def _integrate_quadratic(form: GaussianForm, kappa: float) -> GaussianForm:
-    """Convolve with the kernel exp(i kappa (x-y)^2 / 2), no prefactor.
+def _integrate_quadratic(form: GaussianForm, kappa: float, constant: complex = 1.0) -> GaussianForm:
+    """Convolve with the kernel constant * exp(i kappa (x-y)^2 / 2).
 
     Carries out integral exp(i kappa (x-y)^2 / 2) form(y) dy exactly; the
-    caller supplies whatever propagator constant belongs to the kernel.
+    caller supplies the propagator constant that belongs to the kernel.
     """
-    big_a = form.a - 0.5j * kappa
-    if big_a.real <= 0:
-        raise DegenerateChainError(f"integration step has Re(A) = {big_a.real:.3g} <= 0")
+    half = 0.5j * kappa
+    big_a = form.a - half  # Re(A) = Re(a) > 0
+    four_a = 4.0 * big_a
     return GaussianForm(
-        a=kappa * kappa / (4.0 * big_a) - 0.5j * kappa,
+        a=kappa * kappa / four_a - half,
         b=-1j * kappa * form.b / (2.0 * big_a),
-        c=form.c + form.b * form.b / (4.0 * big_a),
-        prefactor=form.prefactor * cmath.sqrt(cmath.pi / big_a),
+        c=form.c + form.b * form.b / four_a,
+        prefactor=form.prefactor * _sqrt(np.pi / big_a) * constant,
     )
 
 
 def propagate(form: GaussianForm, duration: float, config: PhysicsConfig) -> GaussianForm:
     """Free evolution for the given duration with the standard 1-D propagator
     sqrt(m / 2 pi i hbar dt) exp(i m (x-y)^2 / 2 hbar dt)."""
-    if duration <= 0:
+    if np.any(duration <= 0):
         raise ValueError(f"duration must be positive, got {duration!r}")
     kappa = config.mass / (config.hbar * duration)
-    out = _integrate_quadratic(form, kappa)
-    constant = cmath.sqrt(config.mass / (2j * cmath.pi * config.hbar * duration))
-    return replace(out, prefactor=out.prefactor * constant)
+    return _integrate_quadratic(form, kappa, _sqrt(config.mass / (2j * np.pi * config.hbar * duration)))
 
 
-def looped_kernel_propagate(
-    form: GaussianForm, config: PhysicsConfig, interior_slit_center: float
-) -> GaussianForm:
-    """Two-segment slit-to-slit-and-back kernel with an interior slit crossing.
-
-    Integrates the first segment exp(i m (x2-x1)^2 / 4 hbar (eps+eta)),
-    applies the interior aperture at ``interior_slit_center``, integrates the
-    second segment, and multiplies the kernel constant
-    sqrt(m / 4 pi i hbar (eps+eta)) exactly once for the whole two-segment
-    kernel (not once per segment; the closed form shares this convention).
+def _through_slits(config: PhysicsConfig, slit: float, looped_via: float | None = None) -> GaussianForm:
+    """Source packet -> flight t -> slit at ``slit`` -> flight tau -> screen; with ``looped_via``
+    the path first loops to the slit there and back. Each loop segment takes the kernel
+    exp(i m (x2-x1)^2 / 4 hbar span), span = epsilon + eta, and the constant
+    sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
     """
-    span = derive(config).epsilon + config.eta
-    kappa = config.mass / (2.0 * config.hbar * span)
-    out = _integrate_quadratic(form, kappa)
-    out = apply_slit(out, interior_slit_center, config.beta)
-    out = _integrate_quadratic(out, kappa)
-    constant = cmath.sqrt(config.mass / (4j * cmath.pi * config.hbar * span))
-    return replace(out, prefactor=out.prefactor * constant)
+    span = derive(config).epsilon + config.eta  # derive range-checks every divisor before any arithmetic
+    with np.errstate(all="ignore"):  # a batch that overflows is named by the check below
+        form = apply_slit(propagate(initial_packet(config), config.t, config), slit, config.beta)
+        if looped_via is not None:
+            kappa = config.mass / (2.0 * config.hbar * span)
+            form = apply_slit(_integrate_quadratic(form, kappa), looped_via, config.beta)
+            form = _integrate_quadratic(form, kappa, _sqrt(config.mass / (4j * np.pi * config.hbar * span)))
+            form = apply_slit(form, slit, config.beta)
+        form = propagate(form, config.tau, config)
+    return form.normalizable(config)
 
 
 def chain_nonexotic(which: int, config: PhysicsConfig) -> GaussianForm:
     """Straight-through path through slit 1 (center +d/2) or slit 2 (-d/2)."""
     if which not in (1, 2):
         raise ValueError(f"slit index must be 1 or 2, got {which!r}")
-    center = config.d / 2.0 if which == 1 else -config.d / 2.0
-    form = initial_packet(config)
-    form = propagate(form, config.t, config)
-    form = apply_slit(form, center, config.beta)
-    return propagate(form, config.tau, config)
+    return _through_slits(config, config.d / 2.0 if which == 1 else -config.d / 2.0)
 
 
 def chain_exotic(loop: str, config: PhysicsConfig) -> GaussianForm:
@@ -155,9 +168,4 @@ def chain_exotic(loop: str, config: PhysicsConfig) -> GaussianForm:
     if loop not in ("12", "21"):
         raise ValueError(f'loop must be "12" or "21", got {loop!r}')
     d = config.d if loop == "12" else -config.d
-    form = initial_packet(config)
-    form = propagate(form, config.t, config)
-    form = apply_slit(form, d / 2.0, config.beta)
-    form = looped_kernel_propagate(form, config, -d / 2.0)
-    form = apply_slit(form, d / 2.0, config.beta)
-    return propagate(form, config.tau, config)
+    return _through_slits(config, d / 2.0, looped_via=-d / 2.0)

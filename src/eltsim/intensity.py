@@ -5,15 +5,15 @@ of the reduced center-of-mass state and the pointwise amplitudes of all four
 paths (1, 2, 12, 21), each evaluated through the exact propagator chain of
 :mod:`eltsim.gaussians`.
 
-The looped-paths-only profile ``elt_intensity`` is evaluated from the closed
-form's coefficients in real arithmetic: with u = 2(C3 - C1 x^2) and
-v = 2 C2 x,
+The looped-paths-only profile ``elt_intensity`` is evaluated from the
+coefficients ``loop_coefficients`` reads off the loop-12 chain, in real
+arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
 
     |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
 
 because ψ21(x) = ψ12(-x). ``elt_intensity``, ``default_grid``,
 ``fringe_spacing``, ``aggregate_visibility`` and the clamp and normalization
-of every profile work along the last axis, so coefficients solved for N
+of every profile work along the last axis, so coefficients read for N
 configurations at once give an (N, points) block in one call, the way
 ``eltsim sweep`` uses them; one configuration is the 1-D case.
 """
@@ -158,6 +158,22 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
     with np.errstate(invalid="ignore", divide="ignore"):
         vis = np.where(diag > 0, cross / diag, 0.0)
     return _finalize(grid, values, "elt", normalization, vis)
+
+
+def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
+    """ψ12's coefficients off the loop-12 chain (= CHAIN_SIGN ψ12), one per configuration;
+    mu lands on the closed form's branch, (-3pi/4, 5pi/4), because every Re z_k > 0."""
+    form = gaussians.chain_exotic("12", config)
+    return closedform.EltCoefficients(
+        amplitude=np.abs(form.prefactor),
+        c1=form.a.real,
+        c2=form.b.real,
+        c3=form.c.real,
+        alpha=-form.a.imag,
+        gamma=form.b.imag,
+        theta=form.c.imag,
+        mu=np.pi / 4.0 + np.angle(closedform.CHAIN_SIGN * form.prefactor * np.exp(-0.25j * np.pi)),
+    )
 
 
 def path_evaluators(config: PhysicsConfig):

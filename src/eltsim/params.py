@@ -6,6 +6,9 @@ double-slit conventions: an initial Gaussian packet of transverse width
 ``beta`` separated by ``d``, then for a time ``tau`` to the screen. A looped
 path crosses the slit plane three times; the slit-to-slit traversal time
 ``epsilon`` is set by the transverse momentum uncertainty of the packet.
+
+``derive`` range-checks the divisors of both wavefunction routes; ``check``
+names the first configuration of a swept field that fails such a check.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ class PhysicsConfig:
     explicit input; the looped-path chain itself is unnormalized.
 
     One real field may instead hold a 1-D float array: the configuration
-    then stands for one configuration per element, and ``derive`` and
-    ``closedform.solve`` broadcast over it (``sweep`` builds such batches).
+    then stands for one configuration per element, and ``derive``, the
+    propagator chain and ``closedform.solve`` broadcast over it (``sweep``
+    builds such batches).
     """
 
     mass: float
@@ -104,6 +108,21 @@ def swept(config: PhysicsConfig) -> tuple[str, np.ndarray] | None:
     return None
 
 
+def _first_failing(ok, config: PhysicsConfig | None):
+    """(at, where) for the first configuration where ``ok`` fails: ``at`` picks its element
+    of a value (one number or one per configuration), ``where`` names its swept value."""
+    i = int(np.argmin(ok))
+    field = config and swept(config)
+    where = f" at {field[0]} = {field[1][i].item()!r}" if field else ""
+    return (lambda value: np.ravel(value)[i if np.ndim(value) else 0].item()), where
+
+
+def check(ok, config: PhysicsConfig | None, describe, error: type[ValueError] = ConfigError) -> None:
+    """Raise ``error(describe(at, where))`` for the first configuration where ``ok`` fails."""
+    if not np.all(ok):
+        raise error(describe(*_first_failing(ok, config)))
+
+
 @dataclass(frozen=True)
 class DerivedQuantities:
     """Kinematics implied by the configuration: Delta p_x, Delta v_x, epsilon."""
@@ -120,37 +139,68 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     Delta p_x = hbar / (sqrt(2) sigma0); epsilon = d / Delta v_x with
     Delta v_x = Delta p_x / m. For the Rubidium parameter set this gives
     epsilon ~ 3.5 us. Broadcasts over an array-valued field.
+
+    The chain and the closed form derive first: a divisor of theirs that under-
+    or overflows is a ConfigError naming its field, before any arithmetic.
     """
+
+    def divisor(value, describe):  # a divisor that must neither underflow to 0 nor overflow
+        check(np.isfinite(value) & (value > 0), config, describe)
+
     delta_p = config.hbar / (math.sqrt(2.0) * config.sigma0)
     delta_v = delta_p / config.mass
-    ok = np.ravel(delta_v > 0)  # epsilon divides by it
-    if not ok.all():
-        at = [np.ravel(np.broadcast_to(v, ok.shape))[np.argmin(ok)].item() for v in (config.sigma0, config.mass)]
-        raise ConfigError("sigma0 = {!r} m is out of range at mass = {!r} kg: Delta v_x underflows to 0".format(*at))
+    check(  # epsilon divides by it
+        delta_v > 0,
+        config,
+        lambda at, where: f"sigma0 = {at(config.sigma0)!r} m is out of range at mass = {at(config.mass)!r} kg: "
+        "Delta v_x underflows to 0",
+    )
     epsilon = config.d / delta_v
+    loop_scale = 2.0 * config.hbar * epsilon
+    divisor(loop_scale, lambda at, where: f"slit-to-slit time epsilon = {at(epsilon)!r} s is out of range{where}: "
+            f"2 hbar epsilon = {at(loop_scale)!r} J s^2")
+    with np.errstate(over="ignore", under="ignore"):
+        width = 2.0 * np.square(config.sigma0)
+        slit = 2.0 * np.square(config.beta)
+        # the closed form takes the loop-kernel scale m / (2 hbar epsilon) to the fourth power
+        kernel = np.power(config.mass / loop_scale, 4)
+    divisor(width, lambda at, where: f"packet width sigma0 = {at(config.sigma0)!r} m is out of range{where}: "
+            f"2 sigma0^2 = {at(width)!r} m^2")
+    divisor(slit, lambda at, where: f"slit width beta = {at(config.beta)!r} m is out of range{where}: "
+            f"2 beta^2 = {at(slit)!r} m^2")
+    for name in ("t", "tau"):
+        duration = getattr(config, name)
+        divisor(config.hbar * duration, lambda at, where: f"flight time {name} = {at(duration)!r} s is out of range"
+                f"{where}: hbar {name} = {at(config.hbar * duration)!r} J s^2")
+    check(
+        np.isfinite(kernel),
+        config,
+        lambda at, where: f"slit separation d = {at(config.d)!r} m is out of range{where}: "
+        f"epsilon = {at(epsilon)!r} s and (m / 2 hbar epsilon)^4 = {at(kernel)!r} m^-8",
+    )
     return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon)
 
 
 def validate_regime(config: PhysicsConfig) -> list[str]:
-    """Warnings for parameter choices outside the regime the closed forms assume.
+    """Warnings for parameter choices outside the regime the model assumes.
 
     The total flight time of a looped path must stay far below the excited-state
-    lifetime (no spontaneous decay en route), and the auxiliary inter-slit time
-    eta must be zero for the closed-form coefficients to apply.
+    lifetime (no spontaneous decay en route). For an array-valued field the one
+    warning names the first swept value past that limit and counts them all.
     """
-    derived = derive(config)
-    warnings = []
-    flight = config.t + 2.0 * derived.epsilon + config.tau
-    if flight > 0.01 * config.excited_lifetime:
-        warnings.append(
-            f"total flight time {flight:.3e} s exceeds 1% of the excited-state "
-            f"lifetime {config.excited_lifetime:.3e} s; spontaneous decay is not negligible"
-        )
-    if config.eta != 0.0:
-        warnings.append(
-            f"eta = {config.eta:.3e} s is nonzero; the closed-form coefficients assume eta -> 0"
-        )
-    return warnings
+    flight = config.t + 2.0 * derive(config).epsilon + config.tau
+    short = flight <= 0.01 * config.excited_lifetime
+    if np.all(short):
+        return []
+    at, where = _first_failing(short, config)
+    field = swept(config)
+    if field:
+        count = np.count_nonzero(~np.broadcast_to(short, field[1].shape))
+        where += f", the first of {count} of {field[1].size} swept values that do"
+    return [
+        f"total flight time {at(flight):.3e} s exceeds 1% of the excited-state "
+        f"lifetime {at(config.excited_lifetime):.3e} s{where}; spontaneous decay is not negligible"
+    ]
 
 
 def parse_config_text(text: str) -> PhysicsConfig:

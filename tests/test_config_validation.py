@@ -80,14 +80,14 @@ def test_cli_exits_2_and_writes_nothing_on_infinite_amplitude(tmp_path, capsys):
     "argv",
     [["intensity", "--branch", "elt"], ["intensity", "--branch", "full"], ["sweep", "--parameter", "d", "--range", "1e-7", "2e-7"]],
 )
-def test_closed_form_commands_reject_nonzero_eta(tmp_path, capsys, argv):
-    # the closed form assumes eta = 0; at eta = 1e-9 it is 1.8e-3 off the chain
+def test_looped_path_commands_accept_nonzero_eta(tmp_path, capsys, argv):
+    # intensity and sweep read the looped paths off the propagator chain, which carries eta
     cfg = tmp_path / "eta.cfg"
     cfg.write_text(_MINIMAL + "eta_s = 1e-9\n")
     out = tmp_path / "out.csv"
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert "error: eta" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
 
 
 def test_verify_measures_nonzero_eta(tmp_path, capsys):

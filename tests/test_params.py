@@ -47,12 +47,6 @@ def test_regime_warns_on_long_flight():
     assert "lifetime" in warnings[0]
 
 
-def test_regime_warns_on_nonzero_eta():
-    warnings = validate_regime(rubidium_config(eta=1e-9))
-    assert len(warnings) == 1
-    assert "eta" in warnings[0]
-
-
 @pytest.mark.parametrize("name", ["mass", "sigma0", "beta", "d", "t", "tau"])
 def test_nonpositive_parameter_rejected_naming_field(name):
     with pytest.raises(ConfigError, match=name):

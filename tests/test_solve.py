@@ -1,7 +1,6 @@
 """closedform.solve is the one solve of a configuration, and the CLI calls it once."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -70,11 +69,11 @@ def test_intensity_solves_once(config_path, tmp_path, solves, branch):
 
 @pytest.mark.parametrize("steps", [1, 4, SWEEP_CHUNK + 1])
 def test_sweep_solves_each_step_and_the_manifest_once(config_path, tmp_path, solves, steps):
-    # one array solve per batch of SWEEP_CHUNK steps, one for the manifest
+    # the rows read the propagator chain; the one closed-form solve is the manifest's
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
     assert main(argv + ["--steps", str(steps), "--out", str(out)]) == 0
-    assert len(solves) == math.ceil(steps / SWEEP_CHUNK) + 1
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--corrupt-z", "z5R"]])

@@ -79,7 +79,7 @@ def test_swept_value_that_trips_a_guard_is_named(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--parameter", "tau", "--range", "1e-5", "1e300", "--steps", "3"]
     assert main(argv + ["--out", str(out)]) == 2
-    assert "non-normalizable closed form at tau = 5e+299" in capsys.readouterr().err
+    assert "non-normalizable Gaussian form at tau = 5e+299: a=" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
 
 
