@@ -6,11 +6,10 @@ writes the text to ``--out`` (stdout when it is not given) and, with
 ``--out``, the reproducibility record ``<out>.manifest.json`` beside it,
 from that solution: ``verify`` solves once, every other command only with
 ``--out``. ``intensity`` and ``sweep`` read the propagator chain, so they
-accept a nonzero ``eta``. ``sweep`` reads its values in batches of
-``SWEEP_CHUNK`` configurations, one array chain and one (configurations x
-window) profile block each, so its memory stays flat in ``--steps``. Each
-row is scored on the central three fringes alone, the window its
-``aggregate_visibility`` reads, at the default grid's spacing.
+accept a nonzero ``eta``. ``sweep`` reads every swept value off one array
+chain; ``SWEEP_CHUNK`` bounds only its (configurations x window) profile
+blocks, which cover the central three fringes that ``aggregate_visibility``
+reads, at the default grid's spacing.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. CSV numbers use scientific notation with
@@ -44,7 +43,7 @@ SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 # window points per swept configuration: +/- CENTRAL_FRINGES fringe spacings at spacing pi/|gamma|/80,
 # the positions of points 280-520 of an 801-point default_grid, which is all aggregate_visibility reads
 SWEEP_POINTS = 241
-SWEEP_CHUNK = 32  # configurations per batch: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
+SWEEP_CHUNK = 32  # configurations per profile block: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
 
 
 def _rows(*columns) -> list[str]:
@@ -226,16 +225,17 @@ def cmd_sweep(args, config: PhysicsConfig):
     _warn(swept)  # derives every value first: a value out of range is named before any row is made
     # epsilon depends on d and sigma0 only, so it may be one value for all rows
     epsilon = np.broadcast_to(derive(swept).epsilon, values.shape)
+    coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any profile
+    spacing = intensity.fringe_spacing(coeffs)
 
     lines = ["param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad"]
-    for start in range(0, values.size, SWEEP_CHUNK):
+    for start in range(0, values.size, SWEEP_CHUNK):  # only the (values x window) profile block is chunked
         chunk = slice(start, start + SWEEP_CHUNK)
-        coeffs = intensity.loop_coefficients(dataclasses.replace(config, **{args.parameter: values[chunk]}))
-        spacing = intensity.fringe_spacing(coeffs)
-        grid = intensity.default_grid(coeffs, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
-        profile = intensity.elt_intensity(grid, coeffs, "peak")
-        agg = intensity.aggregate_visibility(profile, spacing)
-        lines += _rows(values[chunk], epsilon[chunk], coeffs.gamma, spacing, agg, coeffs.mu)
+        block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
+        grid = intensity.default_grid(block, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
+        profile = intensity.elt_intensity(grid, block, "peak")
+        agg = intensity.aggregate_visibility(profile, spacing[chunk])
+        lines += _rows(values[chunk], epsilon[chunk], block.gamma, spacing[chunk], agg, block.mu)
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, "\n".join(lines) + "\n", _reference(args, config), extra
 

@@ -291,9 +291,10 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
     ktau = m / (hbar * tau)
 
     big_z_mod = np.hypot(zt.gouy_zr, zt.gouy_zi)
-    amplitude = np.sqrt(
-        m**3 * math.sqrt(math.pi) / (16.0 * hbar**3 * tau * t * eps * config.sigma0 * big_z_mod)
-    )
+    with np.errstate(all="ignore"):  # numpy cubes overflow to inf where a float ** raises; the check below names it
+        amplitude = np.sqrt(
+            np.float64(m) ** 3 * math.sqrt(math.pi) / (16.0 * np.float64(hbar) ** 3 * tau * t * eps * config.sigma0 * big_z_mod)
+        )
 
     # full quadratic coefficient of the exponent is ktau^2/(4 z3) - i ktau/2
     quad = ktau * ktau / (4.0 * zt.z3)

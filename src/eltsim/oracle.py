@@ -16,15 +16,15 @@ import numpy as np
 from .params import PhysicsConfig, derive
 
 QUAD_ABS_TOL = 1e-10  # absolute tolerance per 1-D adaptive pass
+LOOP_REL_TOL = 1e-7  # relative agreement of two refinements of the loop-integral quadrature
 _DOMAIN_WIDTHS = 10.0  # integration window half-width, in local packet widths
 
 
-def complex_quad(f, a: float, b: float, **kwargs) -> complex:
+def complex_quad(f, a: float, b: float) -> complex:
     """Adaptive quadrature of a complex integrand via two real passes."""
     from scipy.integrate import quad
 
     opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=300)
-    opts.update(kwargs)
     re, _ = quad(lambda x: f(x).real, a, b, **opts)
     im, _ = quad(lambda x: f(x).imag, a, b, **opts)
     return complex(re, im)
@@ -94,7 +94,7 @@ def _gauss_legendre_2d(f, x_center, x_half, y_center, y_half, order):
     return x_half * y_half * np.einsum("i,j,ij->", weights, weights, vals)
 
 
-def looped_path_value(config: PhysicsConfig, x: float, rel_tol: float = 1e-7) -> complex:
+def looped_path_value(config: PhysicsConfig, x: float) -> complex:
     """Loop-12 amplitude at x: direct 2-D quadrature over the two loop crossing points.
 
     The initial and final legs are folded in analytically (single Gaussian
@@ -140,7 +140,7 @@ def looped_path_value(config: PhysicsConfig, x: float, rel_tol: float = 1e-7) ->
     previous = None
     for order in (80, 120, 180, 260, 380):
         value = _gauss_legendre_2d(integrand, d / 2.0, half, -d / 2.0, half, order)
-        if previous is not None and abs(value - previous) <= rel_tol * abs(value) + QUAD_ABS_TOL:
+        if previous is not None and abs(value - previous) <= LOOP_REL_TOL * abs(value) + QUAD_ABS_TOL:
             return loop_pref * value
         previous = value
     raise RuntimeError("looped-path quadrature did not converge")

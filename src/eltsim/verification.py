@@ -57,9 +57,7 @@ class VerificationReport:
 
     def worst(self) -> CheckRecord | None:
         failing = [r for r in self.records if not r.passed]
-        if failing:
-            return max(failing, key=lambda r: r.deviation / r.tolerance)
-        return None
+        return max(failing, key=lambda r: r.deviation / r.tolerance, default=None)
 
     def render(self) -> str:
         lines = []

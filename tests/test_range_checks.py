@@ -55,6 +55,21 @@ def test_out_of_range_divisor_is_named(tmp_path, capsys, command, key, value, na
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("argv", [["intensity"], ["states"], ["verify"]], ids=["intensity", "states", "verify"])
+@pytest.mark.parametrize("key", ["mass_kg", "hbar_Js"])
+def test_huge_mass_or_hbar_is_named_by_the_closed_form(tmp_path, capsys, argv, key):
+    # m^3 or hbar^3 past the float range makes a closed-form coefficient non-finite or zero, named by its check
+    config = _config(tmp_path, **{key: "1e200"})
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: non-normalizable closed form: amplitude=" in err and "Traceback" not in err and "Warning" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_sweep_warns_once_naming_the_first_long_flight(tmp_path, capsys):
     # flight t + 2 epsilon + tau passes 1% of the 30 ms lifetime between t = 2e-4 and 3e-4 s
     config = _config(tmp_path)

@@ -1,6 +1,7 @@
 """The batched sweep: every row equals the one-configuration path."""
 
 import dataclasses
+import sys
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eltsim import closedform, intensity
+from eltsim import closedform, gaussians, intensity, params
 from eltsim.cli import SWEEP_CHUNK, SWEEP_PARAMETERS, build_parser, cmd_sweep, main
 from eltsim.closedform import DegenerateConfigError
 from eltsim.params import rubidium_config
@@ -101,6 +102,35 @@ def test_sweep_evaluates_only_the_central_window(monkeypatch):
         full = intensity.default_grid(coeffs, points=801)[:, 280:521]
         scale = np.max(np.abs(full), axis=-1)
         assert np.all(np.max(np.abs(grid - full), axis=-1) <= 1e-15 * scale)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name``, through each eltsim namespace that imported it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for namespace in [m for key, m in sys.modules.items() if key == "eltsim" or key.startswith("eltsim.")]:
+        if getattr(namespace, name, None) is original:
+            monkeypatch.setattr(namespace, name, counting)
+    return calls
+
+
+def test_sweep_builds_one_chain_and_derives_independently_of_steps(monkeypatch):
+    # the loop-12 chain runs once over the whole swept range; only the profile block is chunked
+    chains = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    derives = _count_calls(monkeypatch, params, "derive")
+    counts = []
+    for steps in (1, 3 * SWEEP_CHUNK + 1):
+        chains.clear()
+        derives.clear()
+        assert len(_sweep_rows(RUBIDIUM, "d", 90e-9, 360e-9, steps)) == steps
+        counts.append((len(chains), len(derives)))
+    (chains_one, derives_one), (chains_many, derives_many) = counts
+    assert chains_one == chains_many == 1
+    assert derives_one == derives_many
 
 
 def _mpmath_aggregate_visibility(coeffs, grid):
