@@ -66,11 +66,14 @@ def _reference(args, config: PhysicsConfig):
 def _grid(args, coeffs) -> np.ndarray:
     points = args.grid_points
     if args.grid_min is not None or args.grid_max is not None:
-        if args.grid_min is None or args.grid_max is None:
+        lo, hi = args.grid_min, args.grid_max
+        if lo is None or hi is None:
             raise ConfigError("--grid-min and --grid-max must be given together")
-        if not args.grid_max > args.grid_min:
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+            raise ConfigError(f"--grid-min and --grid-max must be finite numbers with a finite span, got {lo!r} {hi!r}")
+        if not hi > lo:
             raise ConfigError("--grid-max must exceed --grid-min")
-        return np.linspace(args.grid_min, args.grid_max, points)
+        return np.linspace(lo, hi, points)
     return intensity.default_grid(coeffs, points=points)
 
 
@@ -86,16 +89,16 @@ def _complex_pair(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
-def write_manifest(out_path, config: PhysicsConfig, solution: closedform.Solution, command: str, extra: dict):
-    """Reproducibility record next to a data file: config echo, derived
-    quantities, the full coefficient table, tool version, timestamp."""
+def write_manifest(out_path, solution: closedform.Solution, command: str, extra: dict):
+    """Reproducibility record next to a data file, read off one solution: config
+    echo, derived quantities, the full coefficient table, tool version, timestamp."""
     derived = solution.derived
     manifest = {
         "tool": "eltsim",
         "version": __version__,
         "command": command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config_as_dict(config),
+        "config": config_as_dict(solution.config),
         "derived": {
             "delta_p_kg_m_s": derived.delta_p,
             "delta_v_m_s": derived.delta_v,
@@ -149,11 +152,10 @@ def cmd_verify(args, config: PhysicsConfig):
     _warn(config)
     solution = closedform.solve(config)
     report = verification.full_verification(
-        config,
+        solution,
         points=args.points,
         quadrature=not args.skip_quadrature,
         corrupt=args.corrupt_z,
-        solution=solution,
     )
     text = report.render() + "\n"
     worst = report.worst()
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
         code, text, solution, extra = args.func(args, config)
         _write_text(args.out, text)
         if args.out is not None:
-            write_manifest(args.out, config, solution, args.command, extra)
+            write_manifest(args.out, solution, args.command, extra)
         return code
     except ValueError as exc:  # ConfigError and every other named error subclass it
         print(f"error: {exc}", file=sys.stderr)

@@ -329,8 +329,10 @@ def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuanti
 
 @dataclass(frozen=True)
 class Solution:
-    """One configuration solved: derived kinematics, z-table, coefficients."""
+    """One configuration solved: the configuration itself, its derived kinematics,
+    z-table and coefficients; verification and the manifest read it, never solve."""
 
+    config: PhysicsConfig
     derived: DerivedQuantities
     ztable: ZTable
     coeffs: EltCoefficients
@@ -341,7 +343,7 @@ def solve(config: PhysicsConfig) -> Solution:
     for every value of an array-valued field at once."""
     derived = derive(config)
     zt = build_ztable(config, derived)
-    return Solution(derived, zt, build_coefficients(zt, config, derived))
+    return Solution(config, derived, zt, build_coefficients(zt, config, derived))
 
 
 def psi12(x, coeffs: EltCoefficients):

@@ -11,9 +11,9 @@ Three layers, from cheapest to most expensive:
   exact propagator chain pointwise, and the chain in turn with direct 2-D
   quadrature of the loop integral.
 
-Each layer takes the configuration and solves it (``closedform.solve``)
-unless the caller passes the ``solution`` it already has; ``eltsim verify``
-solves once and hands that solution to every layer and to its manifest.
+Every layer takes one ``closedform.Solution``, which carries the
+configuration it solved; no layer solves. ``eltsim verify`` solves once and
+hands that solution to every layer and to its manifest.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform, gaussians, intensity, oracle
-from .params import PhysicsConfig
 
 ZTABLE_TOL = 1e-12
 TERM_TOL = 1e-12
@@ -83,13 +82,11 @@ def _parse_corrupt(corrupt: str | None):
     return name, component
 
 
-def ztable_consistency(
-    config: PhysicsConfig, corrupt: str | None = None, solution: closedform.Solution | None = None
-) -> VerificationReport:
+def ztable_consistency(solution: closedform.Solution, corrupt: str | None = None) -> VerificationReport:
     """Expanded component formulas vs direct complex products for z4..z10 and
     the Gouy composites. ``corrupt`` perturbs one expanded entry (fault
     injection for tests), e.g. "z5R"; the solution itself is not changed."""
-    zt = (solution or closedform.solve(config)).ztable
+    zt = solution.ztable
     expanded = closedform.expanded_products(zt)
     corrupt_name, component = _parse_corrupt(corrupt)
     if corrupt_name is not None and corrupt_name not in expanded:
@@ -111,15 +108,14 @@ def ztable_consistency(
     return report
 
 
-def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | None = None) -> VerificationReport:
+def coefficient_terms(solution: closedform.Solution) -> VerificationReport:
     """Per-term agreement between expanded and compact coefficient formulas.
 
     Any single wrong term in the linear (C2/gamma) or constant (C3/theta)
     coefficient tables shows up here under its own name. ``term/mu`` is the
     distance of mu from the paper's ``gouy_phase`` modulo pi, in radians.
     """
-    solution = solution or closedform.solve(config)
-    derived, zt = solution.derived, solution.ztable
+    config, derived, zt = solution.config, solution.derived, solution.ztable
     compact = {}
     compact.update(closedform.linear_coefficient_terms(zt, config, derived))
     compact.update(closedform.constant_coefficient_terms(zt, config, derived))
@@ -135,63 +131,53 @@ def coefficient_terms(config: PhysicsConfig, solution: closedform.Solution | Non
 
 
 def _worst_point(name: str, grid, reference, value, tolerance: float) -> CheckRecord:
-    """Largest pointwise |value - reference| over the grid, relative to the largest |reference|."""
-    devs = np.abs(value - reference) / float(np.max(np.abs(reference)))
+    """Largest pointwise |value - reference| over the grid, relative to the largest |reference|;
+    NaN or inf, and so failing, where the reference underflows to 0 at every grid point."""
+    scale = float(np.max(np.abs(reference)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        devs = np.abs(value - reference) / scale
     worst = int(np.argmax(devs))
-    return CheckRecord(name, float(devs[worst]), tolerance, detail=f"worst at x = {grid[worst]:.6e} m")
+    detail = f"worst at x = {grid[worst]:.6e} m" if scale != 0 else "reference underflows to 0 at every grid point"
+    return CheckRecord(name, float(devs[worst]), tolerance, detail=detail)
 
 
-def closed_vs_chain(
-    config: PhysicsConfig,
-    points: int = 101,
-    tolerance: float = DEFAULT_CHAIN_TOL,
-    solution: closedform.Solution | None = None,
-) -> VerificationReport:
+def closed_vs_chain(solution: closedform.Solution, points: int = 101) -> VerificationReport:
     """Closed-form psi12/psi21 against the exact propagator chain.
 
     Deviations are normalized by the largest chain magnitude on the grid. The
     chain carries the opposite global sign (see closedform.CHAIN_SIGN).
     """
-    coeffs = (solution or closedform.solve(config)).coeffs
+    coeffs = solution.coeffs
     grid = np.array([0.0]) if points == 1 else intensity.default_grid(coeffs, points)
 
     report = VerificationReport()
     for loop, closed_fn in (("12", closedform.psi12), ("21", closedform.psi21)):
-        chain = gaussians.chain_exotic(loop, config).evaluate(grid)
+        chain = gaussians.chain_exotic(loop, solution.config).evaluate(grid)
         closed = closedform.CHAIN_SIGN * closed_fn(grid, coeffs)
-        report.add(_worst_point(f"closed-vs-chain/loop{loop}", grid, chain, closed, tolerance))
+        report.add(_worst_point(f"closed-vs-chain/loop{loop}", grid, chain, closed, DEFAULT_CHAIN_TOL))
     return report
 
 
-def chain_vs_quadrature(
-    config: PhysicsConfig,
-    points: int = 5,
-    tolerance: float = QUADRATURE_TOL,
-    solution: closedform.Solution | None = None,
-) -> VerificationReport:
+def chain_vs_quadrature(solution: closedform.Solution) -> VerificationReport:
     """Propagator chain against direct 2-D quadrature of the loop integral."""
-    coeffs = (solution or closedform.solve(config)).coeffs
-    offsets = np.linspace(-1.7, 1.7, points) if points > 1 else np.array([0.3])
-    grid = offsets * intensity.fringe_spacing(coeffs)
+    grid = np.linspace(-1.7, 1.7, 5) * intensity.fringe_spacing(solution.coeffs)
 
-    chain = gaussians.chain_exotic("12", config).evaluate(grid)
-    quad_vals = np.array([oracle.looped_path_value(config, float(x)) for x in grid])
-    return VerificationReport([_worst_point("chain-vs-quadrature/loop12", grid, chain, quad_vals, tolerance)])
+    chain = gaussians.chain_exotic("12", solution.config).evaluate(grid)
+    quad_vals = np.array([oracle.looped_path_value(solution.config, float(x)) for x in grid])
+    return VerificationReport([_worst_point("chain-vs-quadrature/loop12", grid, chain, quad_vals, QUADRATURE_TOL)])
 
 
 def full_verification(
-    config: PhysicsConfig,
+    solution: closedform.Solution,
     points: int = 101,
     quadrature: bool = True,
     corrupt: str | None = None,
-    solution: closedform.Solution | None = None,
 ) -> VerificationReport:
-    solution = solution or closedform.solve(config)
     parts = [
-        ztable_consistency(config, corrupt=corrupt, solution=solution),
-        coefficient_terms(config, solution=solution),
-        closed_vs_chain(config, points=points, solution=solution),
+        ztable_consistency(solution, corrupt=corrupt),
+        coefficient_terms(solution),
+        closed_vs_chain(solution, points=points),
     ]
     if quadrature:
-        parts.append(chain_vs_quadrature(config, solution=solution))
+        parts.append(chain_vs_quadrature(solution))
     return VerificationReport([rec for part in parts for rec in part.records])

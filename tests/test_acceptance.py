@@ -38,12 +38,15 @@ def test_acceptance_1_interslit_time(config):
 
 
 def test_acceptance_2_oracle_equivalence(config):
-    report = verification.closed_vs_chain(config, points=101, tolerance=1e-6)
+    solution = closedform.solve(config)
+    report = verification.closed_vs_chain(solution, points=101)
     assert report.passed, report.render()
     assert {r.name for r in report.records} == {"closed-vs-chain/loop12", "closed-vs-chain/loop21"}
-    quad = verification.chain_vs_quadrature(config, points=5, tolerance=1e-5)
+    assert {r.tolerance for r in report.records} == {1e-6}
+    quad = verification.chain_vs_quadrature(solution)
     assert quad.passed, quad.render()
-    terms = verification.coefficient_terms(config)
+    assert {r.tolerance for r in quad.records} == {1e-5}
+    terms = verification.coefficient_terms(solution)
     assert terms.passed, terms.render()
     _report(2, "closed form vs chain (1e-6) and chain vs quadrature (1e-5)")
 
@@ -149,7 +152,7 @@ def test_acceptance_7_product_table_self_consistency():
             t=base.t * f[3],
             tau=base.tau * f[4],
         )
-        report = verification.ztable_consistency(cfg)
+        report = verification.ztable_consistency(closedform.solve(cfg))
         assert report.passed, report.render()
     _report(7, "expanded z-products match complex multiplication for 10 random configs")
 

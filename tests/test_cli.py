@@ -146,6 +146,26 @@ def test_grid_flags_must_pair(config_path):
     assert main(["intensity", "--config", config_path, "--grid-min=-1e-6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ["--grid-min=-inf", "--grid-max=inf"],
+        ["--grid-min=0", "--grid-max=inf"],
+        ["--grid-min=-1e308", "--grid-max=1e308"],
+    ],
+    ids=["both-infinite", "max-infinite", "span-overflows"],
+)
+def test_non_finite_grid_edges_are_named(config_path, tmp_path, capsys, edges):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["intensity", "--config", config_path, *edges, "--grid-points", "5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--grid-min and --grid-max must be finite numbers with a finite span" in err and "Warning" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG_TEXT + "unknown_key = 1\n")
@@ -188,6 +208,29 @@ def test_verify_rejects_zero_points(config_path, capsys):
 
 def test_verify_rejects_unknown_corrupt_target(config_path):
     assert main(["verify", "--config", config_path, "--skip-quadrature", "--corrupt-z", "z99"]) == 2
+
+
+def test_verify_names_a_reference_that_underflows(tmp_path, capsys):
+    # the chain underflows to 0 at every grid point: each wavefunction record fails with a NaN deviation
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        CONFIG_TEXT.replace("sigma0_m = 10e-9", "sigma0_m = 1.3155344041531356e-09")
+        .replace("beta_m = 10e-9", "beta_m = 2.4011347088261125e-09")
+        .replace("d_m = 180e-9", "d_m = 2.0513276664902824e-07")
+        .replace("t_s = 20e-6", "t_s = 1.2660727631801749e-08")
+        .replace("tau_s = 20e-6", "tau_s = 1.273518208061645e-09")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(config)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    underflow = "reference underflows to 0 at every grid point"
+    for name in ("closed-vs-chain/loop12", "closed-vs-chain/loop21", "chain-vs-quadrature/loop12"):
+        assert f"[FAIL] {name}: deviation nan (tol " in captured.out
+    assert captured.out.count(underflow) == 4
+    assert f"worst offender: closed-vs-chain/loop12 (deviation nan), {underflow}\n" in captured.out
 
 
 def test_states_internal(config_path, capsys):

@@ -63,5 +63,5 @@ def test_mu_record_where_the_paper_formula_wraps():
     config = rubidium_config(t=1e-7, tau=1e-7)
     solution = closedform.solve(config)
     assert abs(solution.coeffs.mu - closedform.gouy_phase(solution.ztable)) > 3.0  # one pi apart here
-    records = {r.name: r for r in verification.coefficient_terms(config, solution=solution).records}
+    records = {r.name: r for r in verification.coefficient_terms(solution).records}
     assert records["term/mu"].passed

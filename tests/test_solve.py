@@ -89,6 +89,16 @@ def test_verify_solves_once(config_path, tmp_path, solves, extra):
     assert manifest["ztable"]["z5"] == {"re": solution.ztable.z5.real, "im": solution.ztable.z5.imag}
 
 
+@pytest.mark.parametrize("corrupt", [None, "z5R"])
+def test_verification_never_solves(config, solves, corrupt):
+    solution = closedform.solve(config)
+    assert solution.config is config
+    solves.clear()
+    report = verification.full_verification(solution, quadrature=False, corrupt=corrupt)
+    assert report.passed == (corrupt is None)
+    assert solves == []
+
+
 def test_verify_manifest_coefficients_reproduce_the_chain(config_path, tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--config", config_path, "--skip-quadrature", "--out", str(out)]) == 0
