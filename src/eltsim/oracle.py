@@ -4,11 +4,15 @@ Everything here deliberately avoids the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and integrated
 numerically, so agreement with the chain engine is a genuine cross-check and
 not a tautology. Only the adaptive-quadrature functions import scipy.
+The loop oracle ``looped_path_value`` uses tensor Gauss-Legendre grids, whose
+rules are built once per process, and one segment kernel per order for all
+the screen points asked for; each point converges on its own.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -86,27 +90,33 @@ def _spread_packet(x1, config: PhysicsConfig):
     )
 
 
-def _gauss_legendre_2d(f, x_center, x_half, y_center, y_half, order):
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs = x_center + x_half * nodes
-    ys = y_center + y_half * nodes
-    vals = f(xs[:, None], ys[None, :])
-    return x_half * y_half * np.einsum("i,j,ij->", weights, weights, vals)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def looped_path_value(config: PhysicsConfig, x: float) -> complex:
+def looped_path_value(config: PhysicsConfig, x):
     """Loop-12 amplitude at x: direct 2-D quadrature over the two loop crossing points.
 
-    The initial and final legs are folded in analytically (single Gaussian
-    integrals written out here); the two-variable slit-to-slit-and-back
-    integral is evaluated on tensor Gauss-Legendre grids of increasing order
-    until two refinements agree.
+    ``x`` is a scalar or a 1-D array of screen positions. The initial and
+    final legs are folded in analytically (single Gaussian integrals written
+    out here); the two-variable slit-to-slit-and-back integral is evaluated
+    on tensor Gauss-Legendre grids of increasing order. Only the final leg
+    depends on x, so each order builds the n x n segment kernel once for all
+    points. Each point keeps the first order's value at which two successive
+    refinements agree; if any point never agrees, it raises ``RuntimeError``.
     """
     m, hbar = config.mass, config.hbar
     d, beta, tau = config.d, config.beta, config.tau
     eps = derive(config).epsilon + config.eta
     lam_half = m / (4.0 * hbar * eps)  # per-segment kernel phase scale
     ktau = m / (2.0 * hbar * tau)
+    screen = np.asarray(x, dtype=float)
+    points = screen.reshape(-1, 1)
 
     def slit(y, center):
         return np.exp(-((y - center) ** 2) / (2.0 * beta * beta))
@@ -115,32 +125,33 @@ def looped_path_value(config: PhysicsConfig, x: float) -> complex:
     def tail(x2):
         # integrand exp(-A x3^2 + B x3 + C) with the standard Gaussian result
         a3 = 1.0 / (2.0 * beta * beta) - 1j * ktau - 1j * lam_half
-        b3 = d / (2.0 * beta * beta) - 2j * ktau * x - 2j * lam_half * x2
+        b3 = d / (2.0 * beta * beta) - 2j * ktau * points - 2j * lam_half * x2
         c3 = (
             -(d * d) / (8.0 * beta * beta)
-            + 1j * ktau * x * x
+            + 1j * ktau * points * points
             + 1j * lam_half * x2 * x2
         )
         pref = cmath.sqrt(m / (2j * math.pi * hbar * tau))
         return pref * np.sqrt(np.pi / a3) * np.exp(b3 * b3 / (4.0 * a3) + c3)
 
     loop_pref = cmath.sqrt(m / (4j * math.pi * hbar * eps))
-
-    def integrand(x1, x2):
-        segment = np.exp(1j * lam_half * (x2 - x1) ** 2)
-        return (
-            _spread_packet(x1, config)
-            * slit(x1, d / 2.0)
-            * segment
-            * slit(x2, -d / 2.0)
-            * tail(x2)
-        )
-
     half = _DOMAIN_WIDTHS * beta
+    converged = np.zeros(len(points), dtype=complex)
+    pending = np.ones(len(points), dtype=bool)
     previous = None
     for order in (80, 120, 180, 260, 380):
-        value = _gauss_legendre_2d(integrand, d / 2.0, half, -d / 2.0, half, order)
-        if previous is not None and abs(value - previous) <= LOOP_REL_TOL * abs(value) + QUAD_ABS_TOL:
-            return loop_pref * value
+        nodes, weights = _gauss_legendre(order)
+        x1 = d / 2.0 + half * nodes
+        x2 = -d / 2.0 + half * nodes
+        left = weights * _spread_packet(x1, config) * slit(x1, d / 2.0)
+        segment = np.exp(1j * lam_half * (x2[None, :] - x1[:, None]) ** 2)
+        right = weights * slit(x2, -d / 2.0) * tail(x2)
+        value = half * half * (right @ (left @ segment))
+        if previous is not None:
+            agree = pending & (np.abs(value - previous) <= LOOP_REL_TOL * np.abs(value) + QUAD_ABS_TOL)
+            converged[agree] = value[agree]
+            pending &= ~agree
+            if not pending.any():
+                return (loop_pref * converged).reshape(screen.shape)[()]  # [()] unwraps a scalar x
         previous = value
     raise RuntimeError("looped-path quadrature did not converge")

@@ -55,8 +55,9 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def worst(self) -> CheckRecord | None:
+        """The failing record with the largest deviation / tolerance; a NaN deviation outranks every number."""
         failing = [r for r in self.records if not r.passed]
-        return max(failing, key=lambda r: r.deviation / r.tolerance, default=None)
+        return max(failing, key=lambda r: (math.isnan(r.deviation), r.deviation / r.tolerance), default=None)
 
     def render(self) -> str:
         lines = []
@@ -163,7 +164,7 @@ def chain_vs_quadrature(solution: closedform.Solution) -> VerificationReport:
     grid = np.linspace(-1.7, 1.7, 5) * intensity.fringe_spacing(solution.coeffs)
 
     chain = gaussians.chain_exotic("12", solution.config).evaluate(grid)
-    quad_vals = np.array([oracle.looped_path_value(solution.config, float(x)) for x in grid])
+    quad_vals = oracle.looped_path_value(solution.config, grid)
     return VerificationReport([_worst_point("chain-vs-quadrature/loop12", grid, chain, quad_vals, QUADRATURE_TOL)])
 
 

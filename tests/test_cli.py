@@ -1,10 +1,11 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from eltsim import closedform, intensity, params
+from eltsim import closedform, intensity, params, verification
 from eltsim.cli import branch_profile, main, profile_csv
 
 CONFIG_TEXT = """\
@@ -231,6 +232,13 @@ def test_verify_names_a_reference_that_underflows(tmp_path, capsys):
         assert f"[FAIL] {name}: deviation nan (tol " in captured.out
     assert captured.out.count(underflow) == 4
     assert f"worst offender: closed-vs-chain/loop12 (deviation nan), {underflow}\n" in captured.out
+
+
+def test_worst_offender_ranks_a_nan_deviation_above_every_ratio():
+    nan = verification.CheckRecord("closed-vs-chain/loop12", math.nan, verification.DEFAULT_CHAIN_TOL)
+    finite = verification.CheckRecord("ztable/z5", 7.651e-4, verification.ZTABLE_TOL)
+    for records in ([nan, finite], [finite, nan]):
+        assert verification.VerificationReport(records).worst() is nan
 
 
 def test_states_internal(config_path, capsys):

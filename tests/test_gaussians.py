@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eltsim import gaussians, oracle
+from eltsim import closedform, gaussians, oracle, verification
 from eltsim.gaussians import (
     DegenerateChainError,
     EvaluationError,
@@ -200,3 +201,53 @@ def test_loop_quadrature_across_perturbed_configs():
         for x, val in zip(xs, chain_vals):
             reference = oracle.looped_path_value(cfg, float(x))
             assert abs(val - reference) / scale < 1e-5
+
+
+def _perturbed_rubidium_configs():
+    from eltsim.params import rubidium_config
+
+    rng = np.random.default_rng(20240817)
+    base = rubidium_config()
+    for _ in range(10):
+        f = rng.uniform(0.5, 1.5, size=5)
+        yield rubidium_config(
+            sigma0=base.sigma0 * f[0],
+            beta=base.beta * f[1],
+            d=base.d * f[2],
+            t=base.t * f[3],
+            tau=base.tau * f[4],
+        )
+
+
+def test_loop_quadrature_on_an_array_matches_scalar_calls():
+    xs = np.linspace(-5e-7, 5e-7, 5)
+    for cfg in _perturbed_rubidium_configs():
+        batched = oracle.looped_path_value(cfg, xs)
+        single = np.array([oracle.looped_path_value(cfg, float(x)) for x in xs])
+        assert batched.shape == xs.shape
+        assert np.max(np.abs(batched - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def test_loop_quadrature_that_never_agrees_raises(config, monkeypatch):
+    monkeypatch.setattr(oracle, "LOOP_REL_TOL", -1.0)
+    monkeypatch.setattr(oracle, "QUAD_ABS_TOL", -1.0)
+    for x in (0.0, np.linspace(-5e-7, 5e-7, 5)):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            oracle.looped_path_value(config, x)
+
+
+def test_loop_quadrature_builds_each_rule_once(config, monkeypatch):
+    from eltsim.params import rubidium_config
+
+    built = collections.Counter()
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        built[order] += 1
+        return leggauss(order)
+
+    oracle._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for cfg in (config, rubidium_config(d=1.2 * config.d)):
+        verification.chain_vs_quadrature(closedform.solve(cfg))
+    assert built and max(built.values()) == 1
