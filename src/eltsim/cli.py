@@ -1,19 +1,30 @@
 """Command-line surface: intensity profiles, verification, state reports, sweeps.
 
-Each ``cmd_*`` returns its exit code, its text, the closed-form solution of
-its configuration (``closedform.solve``) and its manifest fields. ``main``
-writes the text to ``--out`` (stdout when it is not given) and, with
-``--out``, the reproducibility record ``<out>.manifest.json`` beside it,
-from that solution: ``verify`` solves once, every other command only with
-``--out``. ``intensity`` and ``sweep`` read the propagator chain, so they
-accept a nonzero ``eta``. ``sweep`` reads every swept value off one array
-chain; ``SWEEP_CHUNK`` bounds only its (configurations x window) profile
-blocks, which cover the central three fringes that ``aggregate_visibility``
-reads, at the default grid's spacing.
+Each ``cmd_*`` returns its exit code, its text as an iterable of string
+blocks, the closed-form solution of its configuration (``closedform.solve``)
+and its manifest fields. Every check that can fail on the whole output runs
+before the command returns; the blocks are then made as they are read.
+``intensity`` yields its CSV ``PROFILE_BLOCK`` rows at a time, ``sweep`` one
+block per ``SWEEP_CHUNK`` configurations, ``verify`` and ``states`` their
+whole report as one block; ``csv_block`` formats every CSV row. ``main``
+writes the blocks as they arrive to stdout, or with ``--out`` to
+``<out>.tmp``, then the reproducibility record from that solution to
+``<out>.manifest.json.tmp``, and moves both into place only when both are
+complete, after refusing a target that is a directory: a failing command
+leaves no new file (a file already at a staging name is overwritten, then
+removed). ``verify`` solves once,
+every other command only with ``--out``. ``intensity`` and ``sweep`` read
+the propagator chain, so they accept a nonzero ``eta``. ``sweep`` reads
+every swept value off one array chain; ``SWEEP_CHUNK`` bounds its
+(configurations x window) profile blocks, which cover the central three
+fringes that ``aggregate_visibility`` reads, at the default grid's spacing,
+and its CSV blocks.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
-verification failure, 4 I/O error. CSV numbers use scientific notation with
-17 significant digits so outputs are byte-reproducible across runs.
+verification failure, 4 I/O error. On stdout, a sweep chunk whose profile
+fails exits 2 after the blocks before it were written. CSV numbers use
+scientific notation with 17 significant digits so outputs are
+byte-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import dataclasses
 import datetime
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,13 +55,15 @@ SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 # window points per swept configuration: +/- CENTRAL_FRINGES fringe spacings at spacing pi/|gamma|/80,
 # the positions of points 280-520 of an 801-point default_grid, which is all aggregate_visibility reads
 SWEEP_POINTS = 241
-SWEEP_CHUNK = 32  # configurations per profile block: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
+SWEEP_CHUNK = 32  # configurations per profile and CSV block: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
+PROFILE_BLOCK = 8192  # intensity CSV rows per block: about 0.6 MB of text
 
 
-def _rows(*columns) -> list[str]:
-    """One CSV row per element of the broadcast columns, each number in ``_FMT``."""
-    row = ",".join([_FMT] * len(columns))
-    return [row % values for values in zip(*(c.tolist() for c in np.broadcast_arrays(*columns)))]
+def csv_block(*columns) -> str:
+    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``."""
+    columns = np.broadcast_arrays(*columns)
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    return (row * columns[0].size) % tuple(np.column_stack(columns).ravel().tolist())
 
 
 def _warn(config: PhysicsConfig):
@@ -77,21 +91,14 @@ def _grid(args, coeffs) -> np.ndarray:
     return intensity.default_grid(coeffs, points=points)
 
 
-def _write_text(path, text: str):
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _complex_pair(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
-def write_manifest(out_path, solution: closedform.Solution, command: str, extra: dict):
-    """Reproducibility record next to a data file, read off one solution: config
-    echo, derived quantities, the full coefficient table, tool version, timestamp."""
+def write_manifest(path, solution: closedform.Solution, command: str, extra: dict):
+    """Reproducibility record of a data file, read off one solution and written
+    to ``path``: config echo, derived quantities, the full coefficient table,
+    tool version, timestamp."""
     derived = solution.derived
     manifest = {
         "tool": "eltsim",
@@ -111,7 +118,6 @@ def write_manifest(out_path, solution: closedform.Solution, command: str, extra:
         "coefficients": dataclasses.asdict(solution.coeffs),
     }
     manifest.update(extra)
-    path = f"{out_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -132,9 +138,14 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.
     return intensity.branch_intensity(states[branch], grid, config, normalization, label=branch)
 
 
-def profile_csv(profile: intensity.IntensityProfile) -> str:
+def profile_csv(profile: intensity.IntensityProfile):
+    """The profile's CSV text: the header, then ``PROFILE_BLOCK`` rows per block."""
     vis = 0.0 if profile.visibility is None else profile.visibility
-    return "\n".join(["x_m,intensity,visibility_pointwise", *_rows(profile.grid, profile.values, vis)]) + "\n"
+    grid, values, vis = np.broadcast_arrays(profile.grid, profile.values, vis)
+    yield "x_m,intensity,visibility_pointwise\n"
+    for start in range(0, grid.size, PROFILE_BLOCK):
+        rows = slice(start, start + PROFILE_BLOCK)
+        yield csv_block(grid[rows], values[rows], vis[rows])
 
 
 def cmd_intensity(args, config: PhysicsConfig):
@@ -166,7 +177,7 @@ def cmd_verify(args, config: PhysicsConfig):
         text += "\n"
     code = EXIT_OK if report.passed else EXIT_VERIFY
     extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "passed": report.passed}
-    return code, text, solution, extra
+    return code, [text], solution, extra
 
 
 def _prob(p: float) -> str:
@@ -209,7 +220,7 @@ def cmd_states(args, config: PhysicsConfig):
     lines.append("reduced center-of-mass weight matrix (paths " + ", ".join(paths) + "):")
     for row in mat:
         lines.append("  " + "  ".join(f"{w.real:+.12e}{w.imag:+.12e}j" for w in row))
-    return EXIT_OK, "\n".join(lines) + "\n", solution, {"measurement": args.measurement}
+    return EXIT_OK, ["\n".join(lines) + "\n"], solution, {"measurement": args.measurement}
 
 
 def cmd_sweep(args, config: PhysicsConfig):
@@ -230,16 +241,18 @@ def cmd_sweep(args, config: PhysicsConfig):
     coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any profile
     spacing = intensity.fringe_spacing(coeffs)
 
-    lines = ["param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad"]
-    for start in range(0, values.size, SWEEP_CHUNK):  # only the (values x window) profile block is chunked
-        chunk = slice(start, start + SWEEP_CHUNK)
-        block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
-        grid = intensity.default_grid(block, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
-        profile = intensity.elt_intensity(grid, block, "peak")
-        agg = intensity.aggregate_visibility(profile, spacing[chunk])
-        lines += _rows(values[chunk], epsilon[chunk], block.gamma, spacing[chunk], agg, block.mu)
+    def blocks():  # a chunk's profile may still fail, after the blocks before it are written
+        yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
+        for start in range(0, values.size, SWEEP_CHUNK):  # one profile block and one CSV block per chunk
+            chunk = slice(start, start + SWEEP_CHUNK)
+            block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
+            grid = intensity.default_grid(block, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
+            profile = intensity.elt_intensity(grid, block, "peak")
+            agg = intensity.aggregate_visibility(profile, spacing[chunk])
+            yield csv_block(values[chunk], epsilon[chunk], block.gamma, spacing[chunk], agg, block.mu)
+
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
-    return EXIT_OK, "\n".join(lines) + "\n", _reference(args, config), extra
+    return EXIT_OK, blocks(), _reference(args, config), extra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,14 +297,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(out, blocks, solution: closedform.Solution, command: str, extra: dict):
+    """Write the blocks to ``<out>.tmp`` and the manifest to ``<out>.manifest.json.tmp``,
+    then move both into place; on any error remove both, so nothing new is left.
+    A target that is a directory is refused first: the second move would fail
+    after the first had already replaced ``<out>``."""
+    manifest = f"{out}.manifest.json"
+    for target in (out, manifest):
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"{target} is a directory")
+    staged = (f"{out}.tmp", f"{manifest}.tmp")
+    try:
+        with open(staged[0], "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(blocks)
+        write_manifest(staged[1], solution, command, extra)
+        os.replace(staged[0], out)
+        os.replace(staged[1], manifest)
+    except BaseException:
+        for path in staged:
+            try:
+                os.remove(path)
+            except OSError:
+                pass  # never written, or already moved into place
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        code, text, solution, extra = args.func(args, config)
-        _write_text(args.out, text)
-        if args.out is not None:
-            write_manifest(args.out, solution, args.command, extra)
+        code, blocks, solution, extra = args.func(args, config)
+        if args.out is None:
+            sys.stdout.writelines(blocks)
+        else:
+            _write_files(args.out, blocks, solution, args.command, extra)
         return code
     except ValueError as exc:  # ConfigError and every other named error subclass it
         print(f"error: {exc}", file=sys.stderr)

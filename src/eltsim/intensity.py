@@ -235,12 +235,14 @@ def branch_intensity(
 
 def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001, fringes: float = 5.0) -> np.ndarray:
     """Symmetric grid spanning +/- ``fringes`` fringe spacings pi/|gamma|; one
-    row per configuration for coefficient arrays."""
+    row per configuration for coefficient arrays. One point is the centre, 0."""
     if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
     half = fringes * np.pi / np.abs(coeffs.gamma)
     if points < 1:
         raise ProfileError("grid needs at least one point")
+    if points == 1:
+        return np.zeros_like(half)[..., None]
     return np.linspace(-half, half, points, axis=-1)
 
 

@@ -149,7 +149,7 @@ def closed_vs_chain(solution: closedform.Solution, points: int = 101) -> Verific
     chain carries the opposite global sign (see closedform.CHAIN_SIGN).
     """
     coeffs = solution.coeffs
-    grid = np.array([0.0]) if points == 1 else intensity.default_grid(coeffs, points)
+    grid = intensity.default_grid(coeffs, points)
 
     report = VerificationReport()
     for loop, closed_fn in (("12", closedform.psi12), ("21", closedform.psi21)):

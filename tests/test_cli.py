@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from eltsim import closedform, intensity, params, verification
-from eltsim.cli import branch_profile, main, profile_csv
+from eltsim.cli import PROFILE_BLOCK, SWEEP_CHUNK, branch_profile, main, profile_csv
 
 CONFIG_TEXT = """\
 mass_kg = 1.44e-25
@@ -114,14 +115,14 @@ def test_erasure_recovers_twice_the_ground_branch(overrides):
 def test_csv_numbers_are_exact_scientific_text():
     values = np.array([-0.0, 5e-324, 1e300])
     profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, "hand", "raw", visibility=values)
-    assert profile_csv(profile) == (
+    assert "".join(profile_csv(profile)) == (
         "x_m,intensity,visibility_pointwise\n"
         "-1.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
         "0.0000000000000000e+00,4.9406564584124654e-324,4.9406564584124654e-324\n"
         "9.9999999999999995e-08,1.0000000000000001e+300,1.0000000000000001e+300\n"
     )
     profile.visibility = None
-    assert [line.split(",")[2] for line in profile_csv(profile).splitlines()[1:]] == ["0.0000000000000000e+00"] * 3
+    assert [line.split(",")[2] for line in "".join(profile_csv(profile)).splitlines()[1:]] == ["0.0000000000000000e+00"] * 3
 
 
 def test_sweep_rows_repeat_a_scalar_epsilon(config_path, capsys):
@@ -340,3 +341,84 @@ def test_sigma0_out_of_range_is_named(tmp_path, capsys, sigma0, named):
     err = capsys.readouterr().err
     assert named in err and "Warning" not in err
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_profile_csv_blocks_match_the_row_wise_text():
+    # 2 blocks + 1 row, with -0.0 and a subnormal on either side of the first block boundary
+    rng = np.random.default_rng(11)
+    n = 2 * PROFILE_BLOCK + 1
+    grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-9 - 1e-5
+    values, vis = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    values[PROFILE_BLOCK - 1 : PROFILE_BLOCK + 1] = -0.0, 5e-324
+    blocks = list(profile_csv(intensity.IntensityProfile(grid, values, "hand", "raw", visibility=vis)))
+    assert [block.count("\n") for block in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 1]
+    rows = ["%.16e,%.16e,%.16e" % row for row in zip(grid.tolist(), values.tolist(), vis.tolist())]
+    assert "".join(blocks) == "\n".join(["x_m,intensity,visibility_pointwise", *rows]) + "\n"
+
+
+def test_one_point_default_grid_is_the_centre(config_path, capsys):
+    assert main(["intensity", "--config", config_path, "--grid-points", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[0] == "0.0000000000000000e+00"
+
+
+def test_out_at_a_directory_leaves_no_file(config_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["intensity", "--config", config_path, "--grid-points", "11", "--out", str(out)]) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_failing_in_a_later_chunk(config_path, tmp_path, capsys, monkeypatch, to_file):
+    aggregate_visibility, calls = intensity.aggregate_visibility, []
+
+    def fail_second_chunk(profile, spacing):
+        calls.append(spacing.size)
+        if len(calls) == 2:
+            raise intensity.ProfileError("injected failure in the second chunk")
+        return aggregate_visibility(profile, spacing)
+
+    monkeypatch.setattr(intensity, "aggregate_visibility", fail_second_chunk)
+    out = tmp_path / "sweep.csv"
+    out.write_text("an earlier result\n")
+    before = sorted(tmp_path.iterdir())
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
+    argv += ["--steps", str(2 * SWEEP_CHUNK + 1)] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 2
+    assert calls == [SWEEP_CHUNK, SWEEP_CHUNK]
+    captured = capsys.readouterr()
+    assert "injected failure in the second chunk" in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+    assert out.read_text() == "an earlier result\n"
+    # with --out nothing is written; on stdout the header and the first chunk's rows already are
+    assert len(captured.out.splitlines()) == (0 if to_file else 1 + SWEEP_CHUNK)
+
+
+def test_sweep_memory_does_not_hold_the_csv(config_path, tmp_path):
+    # a writer that held every row string and their joined text peaked at 11.8 MB on this sweep; block by block, 5.2 MB
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
+    argv += ["--steps", "20000", "--out", str(tmp_path / "sweep.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 20001
+
+
+def test_manifest_path_at_a_directory_leaves_the_earlier_csv(config_path, tmp_path, capsys):
+    # the second of the two moves would fail here, after the first had replaced <out>: refused before staging
+    out = tmp_path / "p.csv"
+    out.write_text("an earlier result\n")
+    (tmp_path / "p.csv.manifest.json").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["intensity", "--config", config_path, "--grid-points", "11", "--out", str(out)]) == 4
+    assert "is a directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert out.read_text() == "an earlier result\n"
