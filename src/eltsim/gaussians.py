@@ -78,6 +78,10 @@ class GaussianForm:
         out = self.prefactor * np.exp(exponent)
         return complex(out) if out.ndim == 0 else out
 
+    def mirrored(self) -> GaussianForm:
+        """The form at -x: b changes sign. A chain with d -> -d builds exactly this."""
+        return replace(self, b=-self.b)
+
     def norm_squared(self) -> float:
         """integral |form(x)|^2 dx, in closed form."""
         ar, br, cr = 2.0 * self.a.real, 2.0 * self.b.real, 2.0 * self.c.real
@@ -154,7 +158,7 @@ def _through_slits(config: PhysicsConfig, slit: float, looped_via: float | None 
 
 
 def chain_nonexotic(which: int, config: PhysicsConfig) -> GaussianForm:
-    """Straight-through path through slit 1 (center +d/2) or slit 2 (-d/2)."""
+    """Straight-through path through slit 1 (center +d/2) or slit 2 (-d/2), each the other's ``mirrored()``."""
     if which not in (1, 2):
         raise ValueError(f"slit index must be 1 or 2, got {which!r}")
     return _through_slits(config, config.d / 2.0 if which == 1 else -config.d / 2.0)
@@ -163,7 +167,7 @@ def chain_nonexotic(which: int, config: PhysicsConfig) -> GaussianForm:
 def chain_exotic(loop: str, config: PhysicsConfig) -> GaussianForm:
     """Looped path: slit 1 -> slit 2 -> slit 1 -> screen for loop "12".
 
-    Loop "21" is the same chain with d -> -d, so it mirrors "12" in x.
+    Loop "21" is the same chain with d -> -d, so it is "12" ``mirrored()``.
     """
     if loop not in ("12", "21"):
         raise ValueError(f'loop must be "12" or "21", got {loop!r}')

@@ -1,9 +1,10 @@
-"""Screen-plane observables: intensity profiles, visibility, predictability.
+"""Screen-plane observables: intensity profiles and visibility.
 
 A branch's screen profile is <x|rho|x> assembled from the path weight matrix
 of the reduced center-of-mass state and the pointwise amplitudes of all four
-paths (1, 2, 12, 21), each evaluated through the exact propagator chain of
-:mod:`eltsim.gaussians`.
+paths (1, 2, 12, 21). Two exact propagator chains of :mod:`eltsim.gaussians`
+give them: path 1 and loop 12. The slits sit at +/-d/2, so path 2 and loop 21
+are their mirrors, ψ2(x) = ψ1(-x) and ψ21(x) = ψ12(-x).
 
 The looped-paths-only profile ``elt_intensity`` is evaluated from the
 coefficients ``loop_coefficients`` reads off the loop-12 chain, in real
@@ -11,7 +12,7 @@ arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
 
     |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
 
-because ψ21(x) = ψ12(-x). ``elt_intensity``, ``default_grid``,
+by that mirror. ``elt_intensity``, ``default_grid``,
 ``fringe_spacing``, ``aggregate_visibility`` and the clamp and normalization
 of every profile work along the last axis, so coefficients read for N
 configurations at once give an (N, points) block in one call, the way
@@ -53,12 +54,6 @@ class IntensityProfile:
             raise ProfileError("grid must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class DualityPoint:
-    visibility: float
-    predictability: float
-
-
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -92,42 +87,6 @@ def _finalize(grid, values, branch, normalization, visibility=None) -> Intensity
         scale = _per_row(scale)
         values = values / np.where(scale > 0, scale, 1.0)  # a profile without positive scale stays as is
     return IntensityProfile(grid, values, branch, normalization, visibility, clamped)
-
-
-def born_double_slit(psi_a, psi_b):
-    """Two-path probability density |psi_a|^2 + |psi_b|^2 + 2 Re(psi_a* psi_b)."""
-    psi_a = np.asarray(psi_a, dtype=complex)
-    psi_b = np.asarray(psi_b, dtype=complex)
-    out = np.abs(psi_a) ** 2 + np.abs(psi_b) ** 2 + 2.0 * (np.conj(psi_a) * psi_b).real
-    return float(out) if out.ndim == 0 else out
-
-
-def fringes_antifringes(a1: complex, a2: complex, psi1, psi2, sign: int):
-    """Erased-branch intensity I± = N^2 [I1 + I2 ± 2 Re(a1 a2* psi1 psi2*)]."""
-    if sign not in (+1, -1):
-        raise ProfileError(f"sign must be +1 or -1, got {sign!r}")
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
-    nsq = abs(a1) ** 2 + abs(a2) ** 2
-    if nsq == 0:
-        raise ProfileError("both amplitudes vanish")
-    i1 = abs(a1) ** 2 * np.abs(psi1) ** 2
-    i2 = abs(a2) ** 2 * np.abs(psi2) ** 2
-    cross = 2.0 * (a1 * np.conj(a2) * psi1 * np.conj(psi2)).real
-    out = (i1 + i2 + sign * cross) / nsq
-    return float(out) if out.ndim == 0 else out
-
-
-def visibility_predictability(i1: float, i2: float, cross_magnitude: float) -> DualityPoint:
-    """Pointwise wave/particle pair: V from the cross-term magnitude, P from
-    the intensity imbalance. V^2 + P^2 = 1 for pure two-path states."""
-    total = i1 + i2
-    if total <= 0:
-        raise ProfileError("visibility undefined where I1 + I2 = 0")
-    return DualityPoint(
-        visibility=2.0 * cross_magnitude / total,
-        predictability=abs(i1 - i2) / total,
-    )
 
 
 def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
@@ -177,12 +136,15 @@ def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
 
 
 def path_evaluators(config: PhysicsConfig):
-    """Pointwise amplitude evaluator for every path label, each a propagator chain."""
+    """Pointwise amplitude evaluator for every path label: the path-1 and loop-12
+    propagator chains, and their mirrors at -x for path 2 and loop 21."""
+    straight = gaussians.chain_nonexotic(1, config)
+    looped = gaussians.chain_exotic("12", config)
     return {
-        "1": gaussians.chain_nonexotic(1, config).evaluate,
-        "2": gaussians.chain_nonexotic(2, config).evaluate,
-        "12": gaussians.chain_exotic("12", config).evaluate,
-        "21": gaussians.chain_exotic("21", config).evaluate,
+        "1": straight.evaluate,
+        "2": straight.mirrored().evaluate,
+        "12": looped.evaluate,
+        "21": looped.mirrored().evaluate,
     }
 
 

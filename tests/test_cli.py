@@ -235,6 +235,25 @@ def test_verify_names_a_reference_that_underflows(tmp_path, capsys):
     assert f"worst offender: closed-vs-chain/loop12 (deviation nan), {underflow}\n" in captured.out
 
 
+def test_verify_names_a_loop_quadrature_that_never_converges(tmp_path, capsys):
+    # the loop oracle's refinements never agree at some check point: a failing record, not a traceback
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        CONFIG_TEXT.replace("sigma0_m = 10e-9", "sigma0_m = 8.412977388142095e-08")
+        .replace("beta_m = 10e-9", "beta_m = 9.429782880893043e-07")
+        .replace("d_m = 180e-9", "d_m = 2.508631488938636e-08")
+        .replace("t_s = 20e-6", "t_s = 8.853693299065657e-09")
+        .replace("tau_s = 20e-6", "tau_s = 2.183480150617253e-09")
+    )
+    code = main(["verify", "--config", str(config)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    detail = "looped-path quadrature did not converge by order 380"
+    assert f"[FAIL] chain-vs-quadrature/loop12: deviation inf (tol 1.0e-05)  {detail}\n" in captured.out
+    assert f"worst offender: chain-vs-quadrature/loop12 (deviation inf), {detail}\n" in captured.out
+
+
 def test_worst_offender_ranks_a_nan_deviation_above_every_ratio():
     nan = verification.CheckRecord("closed-vs-chain/loop12", math.nan, verification.DEFAULT_CHAIN_TOL)
     finite = verification.CheckRecord("ztable/z5", 7.651e-4, verification.ZTABLE_TOL)

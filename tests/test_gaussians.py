@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from eltsim import closedform, gaussians, oracle, verification
 from eltsim.gaussians import (
     DegenerateChainError,
@@ -78,7 +79,7 @@ def test_slit_increases_real_curvature(config):
 def test_propagation_matches_quadrature(config):
     form = propagate(initial_packet(config), config.t, config)
     for x in (0.0, 1e-7):
-        reference = oracle.free_propagated_value(config, config.t, x)
+        reference = references.free_propagated_value(config, config.t, x)
         assert form.evaluate(x) == pytest.approx(reference, rel=1e-8)
 
 
@@ -159,7 +160,7 @@ def test_chain_argument_validation(config):
 
 
 def test_two_path_sum_reproduces_born_combination(config):
-    from eltsim.intensity import born_double_slit
+    from references import born_double_slit
 
     grid = np.linspace(-2e-6, 2e-6, 81)
     psi1 = chain_nonexotic(1, config).evaluate(grid)

@@ -9,16 +9,14 @@ from eltsim.intensity import (
     IntensityProfile,
     ProfileError,
     aggregate_visibility,
-    born_double_slit,
     branch_intensity,
     default_grid,
     elt_intensity,
     fringe_spacing,
-    fringes_antifringes,
     path_evaluators,
-    visibility_predictability,
 )
 from eltsim.params import derive, rubidium_config
+from references import born_double_slit, fringes_antifringes, visibility_predictability
 
 
 @pytest.fixture(scope="module")

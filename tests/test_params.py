@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eltsim import oracle
+import references
 from eltsim.params import (
     ConfigError,
     PhysicsConfig,
@@ -18,7 +18,7 @@ def test_epsilon_near_three_and_a_half_microseconds(config, derived):
 
 
 def test_delta_p_matches_momentum_quadrature(config, derived):
-    numeric = oracle.momentum_sigma(config)
+    numeric = references.momentum_sigma(config)
     assert derived.delta_p == pytest.approx(numeric, rel=1e-8)
 
 

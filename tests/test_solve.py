@@ -119,3 +119,23 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_every_command_runs_without_scipy(config_path):
+    # scipy is a test extra only: with its import blocked, every subcommand still exits 0
+    src = os.path.dirname(os.path.dirname(eltsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    commands = [
+        ["intensity", "--config", config_path, "--grid-points", "11"],
+        ["verify", "--config", config_path],
+        ["states", "--config", config_path, "--measurement", "bell"],
+        ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", "5"],
+    ]
+    code = (
+        "import json, sys; sys.modules['scipy'] = None\n"
+        "from eltsim.cli import main\n"
+        f"print(json.dumps([main(argv) for argv in {commands!r}]), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [0, 0, 0, 0], done.stderr
