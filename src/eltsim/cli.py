@@ -15,13 +15,12 @@ leaves no new file (a file already at a staging name is overwritten, then
 removed). ``verify`` solves once,
 every other command only with ``--out``. ``intensity`` and ``sweep`` read
 the propagator chain, so they accept a nonzero ``eta``. ``sweep`` reads
-every swept value off one array chain; ``SWEEP_CHUNK`` bounds its
-(configurations x window) profile blocks, which cover the central three
-fringes that ``aggregate_visibility`` reads, at the default grid's spacing,
-and its CSV blocks.
+every swept value off one array chain and builds no profile:
+``intensity.aggregate_visibility`` scores ``SWEEP_CHUNK`` configurations at a
+time on the fringe lattice they all share, and each chunk is one CSV block.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
-verification failure, 4 I/O error. On stdout, a sweep chunk whose profile
+verification failure, 4 I/O error. On stdout, a sweep chunk whose visibility
 fails exits 2 after the blocks before it were written. CSV numbers use
 scientific notation with 17 significant digits so outputs are
 byte-reproducible across runs.
@@ -40,7 +39,7 @@ import sys
 import numpy as np
 
 from . import __version__, closedform, intensity, marking, verification
-from .params import ConfigError, PhysicsConfig, config_as_dict, derive, load_config, validate_regime
+from .params import ConfigError, PhysicsConfig, config_as_dict, derive, load_config, swept_rows, validate_regime
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +51,7 @@ _FMT = "%.16e"  # 17 significant digits
 BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
-# window points per swept configuration: +/- CENTRAL_FRINGES fringe spacings at spacing pi/|gamma|/80,
-# the positions of points 280-520 of an 801-point default_grid, which is all aggregate_visibility reads
-SWEEP_POINTS = 241
-SWEEP_CHUNK = 32  # configurations per profile and CSV block: each (SWEEP_CHUNK x SWEEP_POINTS) float temporary is 62 kB
+SWEEP_CHUNK = 32  # configurations per visibility and CSV block: each (SWEEP_CHUNK x 121) lattice temporary is 31 kB
 PROFILE_BLOCK = 8192  # intensity CSV rows per block: about 0.6 MB of text
 
 
@@ -238,17 +234,15 @@ def cmd_sweep(args, config: PhysicsConfig):
     _warn(swept)  # derives every value first: a value out of range is named before any row is made
     # epsilon depends on d and sigma0 only, so it may be one value for all rows
     epsilon = np.broadcast_to(derive(swept).epsilon, values.shape)
-    coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any profile
+    coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any row
     spacing = intensity.fringe_spacing(coeffs)
 
-    def blocks():  # a chunk's profile may still fail, after the blocks before it are written
+    def blocks():  # a chunk's visibility may still fail, after the blocks before it are written
         yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
-        for start in range(0, values.size, SWEEP_CHUNK):  # one profile block and one CSV block per chunk
+        for start in range(0, values.size, SWEEP_CHUNK):  # one visibility block and one CSV block per chunk
             chunk = slice(start, start + SWEEP_CHUNK)
             block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
-            grid = intensity.default_grid(block, points=SWEEP_POINTS, fringes=intensity.CENTRAL_FRINGES)
-            profile = intensity.elt_intensity(grid, block, "peak")
-            agg = intensity.aggregate_visibility(profile, spacing[chunk])
+            agg = intensity.aggregate_visibility(block, swept_rows(swept, chunk))  # names a failing row's swept value
             yield csv_block(values[chunk], epsilon[chunk], block.gamma, spacing[chunk], agg, block.mu)
 
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}

@@ -13,10 +13,15 @@ arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
     |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
 
 by that mirror. ``elt_intensity``, ``default_grid``,
-``fringe_spacing``, ``aggregate_visibility`` and the clamp and normalization
-of every profile work along the last axis, so coefficients read for N
-configurations at once give an (N, points) block in one call, the way
-``eltsim sweep`` uses them; one configuration is the 1-D case.
+``fringe_spacing`` and the clamp and normalization of every profile work
+along the last axis, so coefficients read for N configurations at once give
+an (N, points) block in one call; one configuration is the 1-D case.
+
+``eltsim sweep`` reads no profile. ``aggregate_visibility`` scores a block
+of configurations on one shared fringe lattice, x = k h with
+h = pi/|gamma|/80 and |k| <= 120: on it cos(2 gamma x) = cos(pi k/40) is one
+table for every row, and the profile is even in k, so only k >= 0 is
+evaluated.
 """
 
 from __future__ import annotations
@@ -26,10 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, gaussians, marking
-from .params import PhysicsConfig
+from .params import PhysicsConfig, check
 
 NORMALIZATIONS = ("raw", "peak", "area")
 CENTRAL_FRINGES = 1.5  # half-width of the aggregate-visibility window, in fringe spacings
+# the aggregate-visibility lattice, k = 0 .. 120 steps of pi/|gamma|/80 (the step of an 801-point
+# default_grid), and cos(2 gamma k h) = cos(pi k/40) on it, whatever the configuration
+_LATTICE_K = np.arange(CENTRAL_FRINGES * 80.0 + 1.0)
+_LATTICE_COS = np.cos(np.pi / 40.0 * _LATTICE_K)
 
 
 class ProfileError(ValueError):
@@ -195,12 +204,12 @@ def branch_intensity(
     return _finalize(grid, values, label or "density", normalization, vis)
 
 
-def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001, fringes: float = 5.0) -> np.ndarray:
-    """Symmetric grid spanning +/- ``fringes`` fringe spacings pi/|gamma|; one
-    row per configuration for coefficient arrays. One point is the centre, 0."""
+def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.ndarray:
+    """Symmetric grid spanning +/- 5 fringe spacings pi/|gamma|; one row per
+    configuration for coefficient arrays. One point is the centre, 0."""
     if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
-    half = fringes * np.pi / np.abs(coeffs.gamma)
+    half = 5.0 * np.pi / np.abs(coeffs.gamma)
     if points < 1:
         raise ProfileError("grid needs at least one point")
     if points == 1:
@@ -215,22 +224,52 @@ def fringe_spacing(coeffs: closedform.EltCoefficients):
     return np.pi / np.abs(coeffs.gamma)
 
 
-def aggregate_visibility(profile: IntensityProfile, spacing):
-    """(Imax - Imin)/(Imax + Imin) over the central three fringes, per profile
-    row (a float for one profile, an array for a block of them).
+def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConfig):
+    """(Imax - Imin)/(Imax + Imin) of the peak-normalized looped-path profile
+    over the central three fringes, per configuration of ``coeffs`` (a float
+    for one, an array for a block of them). ``config`` holds the
+    configurations the coefficients belong to; a failing check names the
+    swept value of the row that fails.
 
-    A convenience metric for sweeps; unlike the pointwise visibility it
-    depends on the grid window, so it is reported under its own name. The
-    window is closed with a relative margin of 1e-12: its edges fall exactly
-    on points of the default grid (the outer fringe minima), and without the
-    margin the last bit of gamma decided whether they count.
+    A convenience metric for sweeps; it depends on the window, so it is
+    reported under its own name. The window is the lattice x = k h,
+    h = pi/|gamma|/80, |k| <= 120 (module docstring): the points of an
+    801-point ``default_grid`` within ``CENTRAL_FRINGES`` fringe spacings of
+    the centre. With a = 2 C1 h^2 and b = |2 C2 h| the profile over k >= 0 is
+    e^(u+v) + e^(u-v) + 2 e^u cos(pi k/40), u = -a k^2 - shift, v = b k.
+    The shift max_k(-a k^2 + b k) makes the largest exponent 0, as in
+    ``elt_intensity``; it sits at the parabola's vertex b/2a rounded to the
+    lattice and clipped to it, so no array is scanned. The clamp, its
+    significance check and the peak normalization are those of every
+    profile, applied to the two extremes.
     """
-    half = CENTRAL_FRINGES * _per_row(spacing) * (1.0 + 1e-12)
-    window = np.abs(profile.grid) <= half
-    if not np.all(np.any(window, axis=-1)):
-        raise ProfileError("grid does not cover the central fringes")
-    hi = np.where(window, profile.values, -np.inf).max(axis=-1)
-    lo = np.where(window, profile.values, np.inf).min(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        agg = np.where(hi + lo == 0, 0.0, (hi - lo) / (hi + lo))
+    gamma = np.asarray(coeffs.gamma, dtype=float)
+    k = _LATTICE_K
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a degenerate row is named below
+        h = np.pi / np.abs(gamma) / 80.0
+        a = _per_row(2.0 * coeffs.c1 * h * h)
+        b = _per_row(np.abs(2.0 * coeffs.c2 * h))
+        peak = np.minimum(np.maximum(np.rint(b / (2.0 * a)), 0.0), k[-1])
+        shift = b * peak - a * peak * peak
+        u = -a * (k * k)
+        u -= shift
+        v = b * k
+        values = np.exp(u + v)
+        values += np.exp(u - v)  # e^(u+v) + e^(u-v) is the same sum at -k, so the half window holds every value
+        values += 2.0 * _LATTICE_COS * np.exp(u, out=u)
+    hi, lo = values.max(axis=-1), values.min(axis=-1)
+
+    def undefined(at, where):
+        if at(gamma) == 0:  # h is then infinite, and the shift not a number
+            return f"gamma vanishes{where}; no fringe scale to place the window on"
+        if not np.isfinite(at(shift)):
+            return (f"no finite peak shift of the visibility window{where}: "
+                    f"a = 2 C1 h^2 = {at(a)!r}, b = |2 C2 h| = {at(b)!r}")
+        return (f"window intensity without a finite positive peak, or significantly negative{where}: "
+                f"min {at(lo):.3g}, max {at(hi):.3g}")
+
+    significant = lo < -1e-12 * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+    check(np.isfinite(shift[..., 0]) & (0 < hi) & (hi < np.inf) & ~significant, config, undefined, ProfileError)
+    lo = np.where(lo < 0, 0.0, lo) / hi  # clamped and peak-normalized: the peak is 1
+    agg = (1.0 - lo) / (1.0 + lo)
     return float(agg) if agg.ndim == 0 else agg

@@ -108,6 +108,17 @@ def swept(config: PhysicsConfig) -> tuple[str, np.ndarray] | None:
     return None
 
 
+def swept_rows(config: PhysicsConfig, rows: slice) -> PhysicsConfig:
+    """The configurations ``rows`` of a swept configuration. Its values were
+    checked when it was built, so they are not checked again: this costs a
+    dict copy, not a second ``__post_init__``."""
+    name, values = swept(config)
+    part = object.__new__(PhysicsConfig)
+    part.__dict__.update(vars(config))
+    part.__dict__[name] = values[rows]
+    return part
+
+
 def _first_failing(ok, config: PhysicsConfig | None):
     """(at, where) for the first configuration where ``ok`` fails: ``at`` picks its element
     of a value (one number or one per configuration), ``where`` names its swept value."""

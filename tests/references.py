@@ -1,5 +1,6 @@
-"""Reference formulas that only the tests use: textbook intensity identities
-and adaptive quadrature of the free-particle integrals.
+"""Reference formulas that only the tests use: textbook intensity identities,
+the aggregate visibility of a sampled profile, and adaptive quadrature of the
+free-particle integrals.
 
 The quadratures deliberately avoid the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eltsim.intensity import ProfileError
+from eltsim.intensity import CENTRAL_FRINGES, IntensityProfile, ProfileError
 from eltsim.oracle import _DOMAIN_WIDTHS, QUAD_ABS_TOL
 from eltsim.params import PhysicsConfig
 
@@ -62,6 +63,27 @@ def visibility_predictability(i1: float, i2: float, cross_magnitude: float) -> D
         visibility=2.0 * cross_magnitude / total,
         predictability=abs(i1 - i2) / total,
     )
+
+
+def aggregate_visibility(profile: IntensityProfile, spacing):
+    """(Imax - Imin)/(Imax + Imin) over the central three fringes of a sampled
+    profile, per profile row (a float for one profile, an array for a block).
+
+    The reference that ``eltsim.intensity.aggregate_visibility`` is checked
+    against: it reads whichever grid points fall in the window. The window
+    is closed with a relative margin of 1e-12: its edges fall exactly on
+    points of the default grid (the outer fringe minima), and without the
+    margin the last bit of gamma decided whether they count.
+    """
+    half = CENTRAL_FRINGES * np.asarray(spacing)[..., None] * (1.0 + 1e-12)
+    window = np.abs(profile.grid) <= half
+    if not np.all(np.any(window, axis=-1)):
+        raise ProfileError("grid does not cover the central fringes")
+    hi = np.where(window, profile.values, -np.inf).max(axis=-1)
+    lo = np.where(window, profile.values, np.inf).min(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        agg = np.where(hi + lo == 0, 0.0, (hi - lo) / (hi + lo))
+    return float(agg) if agg.ndim == 0 else agg
 
 
 def complex_quad(f, a: float, b: float) -> complex:

@@ -395,11 +395,11 @@ def test_out_at_a_directory_leaves_no_file(config_path, tmp_path, capsys):
 def test_sweep_failing_in_a_later_chunk(config_path, tmp_path, capsys, monkeypatch, to_file):
     aggregate_visibility, calls = intensity.aggregate_visibility, []
 
-    def fail_second_chunk(profile, spacing):
-        calls.append(spacing.size)
+    def fail_second_chunk(coeffs, config):
+        calls.append(coeffs.gamma.size)
         if len(calls) == 2:
             raise intensity.ProfileError("injected failure in the second chunk")
-        return aggregate_visibility(profile, spacing)
+        return aggregate_visibility(coeffs, config)
 
     monkeypatch.setattr(intensity, "aggregate_visibility", fail_second_chunk)
     out = tmp_path / "sweep.csv"

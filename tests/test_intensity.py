@@ -8,7 +8,6 @@ from eltsim import closedform, gaussians, intensity, marking
 from eltsim.intensity import (
     IntensityProfile,
     ProfileError,
-    aggregate_visibility,
     branch_intensity,
     default_grid,
     elt_intensity,
@@ -16,7 +15,7 @@ from eltsim.intensity import (
     path_evaluators,
 )
 from eltsim.params import derive, rubidium_config
-from references import born_double_slit, fringes_antifringes, visibility_predictability
+from references import aggregate_visibility, born_double_slit, fringes_antifringes, visibility_predictability
 
 
 @pytest.fixture(scope="module")
@@ -225,4 +224,15 @@ def test_aggregate_visibility_ignores_the_last_bit_of_gamma(tau):
         nudged = dataclasses.replace(coeffs, gamma=float(gamma))
         profile = elt_intensity(default_grid(nudged, points=801), nudged, "peak")
         results.append(aggregate_visibility(profile, fringe_spacing(nudged)))
+    assert results == pytest.approx([results[1]] * 3, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tau", [20e-6, 2.104682274247492e-07])
+def test_lattice_visibility_ignores_the_last_bit_of_gamma(tau):
+    # the lattice step pi/|gamma|/80 follows gamma; the cos table does not
+    config = rubidium_config(tau=tau)
+    coeffs = closedform.solve(config).coeffs
+    results = []
+    for gamma in (np.nextafter(coeffs.gamma, -np.inf), coeffs.gamma, np.nextafter(coeffs.gamma, np.inf)):
+        results.append(intensity.aggregate_visibility(dataclasses.replace(coeffs, gamma=float(gamma)), config))
     assert results == pytest.approx([results[1]] * 3, rel=1e-12, abs=0)

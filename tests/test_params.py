@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import references
@@ -9,6 +11,8 @@ from eltsim.params import (
     derive,
     parse_config_text,
     rubidium_config,
+    swept,
+    swept_rows,
     validate_regime,
 )
 
@@ -115,3 +119,13 @@ def test_missing_equals_rejected():
 def test_config_is_immutable(config):
     with pytest.raises(Exception):
         config.mass = 1.0
+
+
+def test_swept_rows_is_the_configuration_of_those_rows():
+    config = dataclasses.replace(rubidium_config(), tau=np.linspace(1e-6, 3e-5, 70))
+    part = swept_rows(config, slice(32, 64))
+    want = dataclasses.replace(config, tau=config.tau[32:64])
+    assert type(part) is PhysicsConfig and list(vars(part)) == list(vars(want))
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(part, name), value)
+    assert swept(part)[0] == "tau" and swept(config)[1].size == 70

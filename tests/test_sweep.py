@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from eltsim import closedform, gaussians, intensity, params
 from eltsim.cli import SWEEP_CHUNK, SWEEP_PARAMETERS, build_parser, cmd_sweep, main
 from eltsim.closedform import DegenerateConfigError
@@ -32,7 +33,7 @@ def _one_configuration(config, parameter, value):
     coeffs = solution.coeffs
     spacing = intensity.fringe_spacing(coeffs)
     profile = intensity.elt_intensity(intensity.default_grid(coeffs, points=801), coeffs, "peak")
-    agg = intensity.aggregate_visibility(profile, spacing)
+    agg = references.aggregate_visibility(profile, spacing)
     return [value, solution.derived.epsilon, coeffs.gamma, spacing, agg, coeffs.mu]
 
 
@@ -85,23 +86,20 @@ def test_swept_value_that_trips_a_guard_is_named(tmp_path, capsys):
 
 
 def test_sweep_evaluates_only_the_central_window(monkeypatch):
-    # the work contract: 241 points per row, the positions of points 280-520 of the 801-point
-    # default grid, which is every point aggregate_visibility reads there
-    calls = []
-    original = intensity.elt_intensity
+    # the work contract: no grid and no profile, one visibility block on the shared lattice per chunk
+    profiles = _count_calls(monkeypatch, intensity, "elt_intensity")
+    grids = _count_calls(monkeypatch, intensity, "default_grid")
+    sizes, original = [], intensity.aggregate_visibility
 
-    def recording(grid, coeffs, *args, **kwargs):
-        calls.append((grid, coeffs))
-        return original(grid, coeffs, *args, **kwargs)
+    def recording(coeffs, config):
+        sizes.append(coeffs.gamma.size)
+        return original(coeffs, config)
 
-    monkeypatch.setattr(intensity, "elt_intensity", recording)
+    monkeypatch.setattr(intensity, "aggregate_visibility", recording)
     rows = _sweep_rows(RUBIDIUM, "d", 90e-9, 360e-9, SWEEP_CHUNK + 1)
-    assert len(calls) == 2 and sum(len(grid) for grid, _ in calls) == len(rows)
-    for grid, coeffs in calls:
-        assert grid.shape[-1] == 241
-        full = intensity.default_grid(coeffs, points=801)[:, 280:521]
-        scale = np.max(np.abs(full), axis=-1)
-        assert np.all(np.max(np.abs(grid - full), axis=-1) <= 1e-15 * scale)
+    assert len(rows) == SWEEP_CHUNK + 1
+    assert len(profiles) == 0 and len(grids) == 0
+    assert sizes == [SWEEP_CHUNK, 1]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -154,3 +152,77 @@ def test_aggregate_visibility_where_the_window_is_subnormal():
         coeffs = closedform.solve(dataclasses.replace(config, d=float(row[0]))).coeffs
         window = intensity.default_grid(coeffs, points=801)[280:521]
         assert row[4] == pytest.approx(_mpmath_aggregate_visibility(coeffs, window), rel=1e-12, abs=0)
+
+
+def _lattice_vertex(coeffs):
+    """The lattice index b/2a of the window exponent's vertex, before rounding and clipping."""
+    h = np.pi / abs(coeffs.gamma) / 80.0
+    return abs(2.0 * coeffs.c2 * h) / (2.0 * (2.0 * coeffs.c1 * h * h))
+
+
+# the vertex inside the window, and beyond its edge where the raw window values are subnormal
+SHORT_FLIGHT = dataclasses.replace(RUBIDIUM, t=1e-7, tau=1e-7)
+LATTICE_CASES = [(RUBIDIUM, True)] + [(dataclasses.replace(SHORT_FLIGHT, d=d), False) for d in (5.05e-7, 5.1e-7, 5.15e-7)]
+
+
+@pytest.mark.parametrize(("config", "inside"), LATTICE_CASES)
+def test_lattice_visibility_matches_mpmath(config, inside):
+    coeffs = closedform.solve(config).coeffs
+    assert (_lattice_vertex(coeffs) < 120) == inside
+    window = intensity.default_grid(coeffs, points=801)[280:521]
+    want = _mpmath_aggregate_visibility(coeffs, window)
+    assert intensity.aggregate_visibility(coeffs, config) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    ("config", "lo", "hi"),
+    [(RUBIDIUM, 90e-9, 360e-9), (SHORT_FLIGHT, 5.05e-7, 5.15e-7)],
+    ids=["vertex-inside", "vertex-clipped"],
+)
+def test_half_lattice_equals_the_full_window(monkeypatch, config, lo, hi):
+    # the profile is even in k, so k >= 0 holds the extremes of k = -120 .. 120 to the last bit
+    config = dataclasses.replace(config, d=np.linspace(lo, hi, 50))
+    coeffs = intensity.loop_coefficients(config)
+    half = intensity.aggregate_visibility(coeffs, config)
+    k = np.arange(-120.0, 121.0)
+    monkeypatch.setattr(intensity, "_LATTICE_K", k)
+    monkeypatch.setattr(intensity, "_LATTICE_COS", np.cos(np.pi / 40.0 * k))
+    assert half.tolist() == intensity.aggregate_visibility(coeffs, config).tolist()
+
+
+def test_degenerate_lattice_row_is_named():
+    # C1 h^2 underflows to 0 while C2 h is 0: the vertex b/2a is 0/0
+    values = np.array([1e-7, 2e-7, 3e-7])
+    config = dataclasses.replace(RUBIDIUM, d=values)
+    coeffs = intensity.loop_coefficients(config)
+    c1, c2 = coeffs.c1.copy(), coeffs.c2.copy()
+    c1[1], c2[1] = 1e-322 * coeffs.gamma[1] ** 2, 0.0
+    assert 2.0 * c1[1] * (np.pi / abs(coeffs.gamma[1]) / 80.0) ** 2 == 0.0
+    block = dataclasses.replace(coeffs, c1=c1, c2=c2)
+    with pytest.raises(intensity.ProfileError, match=r"no finite peak shift of the visibility window at d = 2e-07"):
+        intensity.aggregate_visibility(block, config)
+    gamma = coeffs.gamma.copy()
+    gamma[2] = 0.0
+    with pytest.raises(intensity.ProfileError, match=r"gamma vanishes at d = 3e-07"):
+        intensity.aggregate_visibility(dataclasses.replace(coeffs, gamma=gamma), config)
+
+
+def test_degenerate_row_in_a_later_chunk_writes_no_row(tmp_path, monkeypatch, capsys):
+    # never a NaN row: the chunk that holds the degenerate value fails by name, and --out leaves no file
+    original = intensity.loop_coefficients
+
+    def degenerate(config):
+        coeffs = original(config)
+        c1, c2 = coeffs.c1.copy(), coeffs.c2.copy()
+        c1[SWEEP_CHUNK + 3], c2[SWEEP_CHUNK + 3] = 0.0, 0.0
+        return dataclasses.replace(coeffs, c1=c1, c2=c2)
+
+    monkeypatch.setattr(intensity, "loop_coefficients", degenerate)
+    config = tmp_path / "run.cfg"
+    config.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n")
+    steps = 2 * SWEEP_CHUNK + 1
+    argv = ["sweep", "--config", str(config), "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", str(steps)]
+    assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 2
+    value = np.linspace(90e-9, 360e-9, steps)[SWEEP_CHUNK + 3].item()
+    assert f"no finite peak shift of the visibility window at d = {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
