@@ -23,7 +23,10 @@ Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. On stdout, a sweep chunk whose visibility
 fails exits 2 after the blocks before it were written. CSV numbers use
 scientific notation with 17 significant digits so outputs are
-byte-reproducible across runs.
+byte-reproducible across runs: ``csv_block`` makes each block's text in
+numpy, byte for byte the text of ``"%.16e" % x``, and hands to Python's
+``%`` only nan, inf and the numbers whose last digit long double cannot
+settle (about 2% of them; all of them where long double is only double).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -52,14 +56,96 @@ BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 SWEEP_CHUNK = 32  # configurations per visibility and CSV block: each (SWEEP_CHUNK x 121) lattice temporary is 31 kB
-PROFILE_BLOCK = 8192  # intensity CSV rows per block: about 0.6 MB of text
+PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text, made with a 2 MB tracemalloc peak
+
+# ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
+# A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
+# nearest y. y is the long double product of |x| and a correctly rounded 10**(16 - E). Its two
+# roundings leave it within 1e17 eps of exact; _TIE_BOUND adds 1% for the fraction's rounding to
+# double. Where y's fraction lies that close to 1/2 the nearest integer is unsettled, or a tie that
+# must round half to even, and Python's % formats x, as it does nan and inf. Where long double is
+# only double the bound exceeds 1/2; where its exponent is no wider than double's (double,
+# double-double) 10**(16 - E) overflows for the smallest doubles. There % formats every number.
+
+
+_E_MIN, _E_MAX = -324, 308  # the decades of 5e-324 and of the largest double; each table's row E - _E_MIN serves E
+
+
+def _scaling(dtype):
+    """The table of 10**(16 - E) for every decade E of a nonzero double, the bound on y's error, and
+    whether every entry is finite, for a floating type."""
+    pow10 = np.array([f"1e{16 - e}" for e in range(_E_MIN, _E_MAX + 1)], dtype=dtype)
+    return pow10, 1.01e17 * float(np.finfo(dtype).eps), bool(np.isfinite(pow10).all())
+
+
+_POW10, _TIE_BOUND, _POW10_FINITE = _scaling(np.longdouble)
+
+
+def _ascii_digits(width: int) -> np.ndarray:
+    """The zero-padded decimal text of 0 ... 10**width - 1, one row of ``width`` ASCII bytes each."""
+    digits = np.empty((10,) * width + (width,), np.uint8)
+    codes = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(width):
+        digits[..., place] = codes.reshape((10,) + (1,) * (width - 1 - place))
+    return digits.reshape(-1, width)
+
+
+_DIGITS4 = _ascii_digits(4).view(np.uint32).ravel()  # "0000" ... "9999", gathered four bytes at a time
+_decades = np.arange(_E_MIN, _E_MAX + 1)
+_EXPONENT = np.empty((_decades.size, 4), np.uint8)  # "+dd" or "+ddd" per decade, 0 for hundreds left out
+_EXPONENT[:, 0] = np.where(_decades < 0, ord("-"), ord("+"))
+_EXPONENT[:, 1:] = _ascii_digits(3)[np.abs(_decades)]
+_EXPONENT[np.abs(_decades) < 100, 1] = 0
+_EXPONENT = _EXPONENT.view(np.uint32).ravel()
 
 
 def csv_block(*columns) -> str:
-    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``."""
-    columns = np.broadcast_arrays(*columns)
-    row = ",".join([_FMT] * len(columns)) + "\n"
-    return (row * columns[0].size) % tuple(np.column_stack(columns).ravel().tolist())
+    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
+    the same bytes as Python's ``%``, made a block at a time in numpy."""
+    x = np.column_stack(np.broadcast_arrays(*columns)).astype(np.float64)
+    rows, width = x.shape
+    x = x.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    by_percent = ~np.isfinite(a) if _POW10_FINITE else np.ones(a.shape, bool)
+    a[zero | by_percent] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits, the others get % text
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[e - _E_MIN]
+    off = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 rounded across a power of ten
+    e[off] += np.where(y[off] < 1e16, -1, 1)
+    y[off] = a[off] * _POW10[e[off] - _E_MIN]
+    n = y.astype(np.uint64)  # y < 2**63 after the fix, which leaves it at most _TIE_BOUND outside [1e16, 1e17)
+    frac = (y - n).astype(np.float64)
+    n += frac > 0.5
+    by_percent = np.flatnonzero(by_percent | ~(np.abs(frac - 0.5) > _TIE_BOUND))
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry] = 10**16
+    e += carry
+    n[zero] = 0
+    hi = n // 10**8
+    lo = (n - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    quads = np.empty((x.size, 4), np.uint32)  # the 16 digits after the point, four at a time
+    for j, part in ((0, hi), (2, lo)):
+        quads[:, j] = part // 10**4
+        quads[:, j + 1] = part - quads[:, j] * 10**4
+    cell = np.empty((rows, width, 25), np.uint8)  # "-d.dddddddddddddddde-ddd," per number, 0 for a byte left out
+    cell[:, :, 24] = ord(",")
+    cell[:, -1, 24] = ord("\n")
+    cell = cell.reshape(x.size, 25)
+    cell[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    cell[:, 1] = lead + ord("0")
+    cell[:, 2] = ord(".")
+    cell[:, 3:19] = _DIGITS4[quads].view(np.uint8)
+    cell[:, 19] = ord("e")
+    cell[:, 20:24] = _EXPONENT[e - _E_MIN].view(np.uint8).reshape(-1, 4)
+    if by_percent.size:
+        text = "".join([(_FMT % v).ljust(24, "\0") for v in x[by_percent].tolist()])
+        cell[by_percent, :24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
+    cell = cell.ravel()
+    return cell[cell != 0].tobytes().decode("ascii")
 
 
 def _warn(config: PhysicsConfig):
@@ -94,13 +180,14 @@ def _complex_pair(z: complex):
 def write_manifest(path, solution: closedform.Solution, command: str, extra: dict):
     """Reproducibility record of a data file, read off one solution and written
     to ``path``: config echo, derived quantities, the full coefficient table,
-    tool version, timestamp."""
+    tool version, timestamp, and the Python and numpy versions that wrote it."""
     derived = solution.derived
     manifest = {
         "tool": "eltsim",
         "version": __version__,
         "command": command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "config": config_as_dict(solution.config),
         "derived": {
             "delta_p_kg_m_s": derived.delta_p,

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import tracemalloc
 import warnings
 
@@ -70,6 +71,22 @@ def test_manifest_written(config_path, tmp_path):
     assert "z5" in manifest["ztable"]
     assert manifest["coefficients"]["c1"] > 0
     assert "version" in manifest and "timestamp" in manifest
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["intensity", "--grid-points", "11"],
+        ["verify", "--skip-quadrature"],
+        ["states"],
+        ["sweep", "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", "3"],
+    ],
+)
+def test_manifest_records_the_environment(config_path, tmp_path, command):
+    out = tmp_path / "run.out"
+    assert main([*command, "--config", config_path, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+    assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def test_ground_branch_profile(config_path, tmp_path):
