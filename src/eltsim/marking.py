@@ -66,9 +66,15 @@ class CompositeState:
 
     @classmethod
     def from_unnormalized(cls, terms: dict[BasisLabel, complex]) -> "CompositeState":
-        norm_sq = sum(abs(a) ** 2 for a in terms.values())
-        if norm_sq == 0:
+        """The unit vector along ``terms``. Only their ratios matter, so they are first scaled by
+        the power of two that brings the largest real or imaginary part into [0.5, 1): exact, and
+        no square of a huge amplitude overflows nor the norm of tiny ones underflows."""
+        largest = max((max(abs(a.real), abs(a.imag)) for a in terms.values()), default=0.0)
+        if largest == 0:
             raise StateError("cannot normalize the zero vector")
+        exponent = -math.frexp(largest)[1]
+        terms = {label: complex(math.ldexp(a.real, exponent), math.ldexp(a.imag, exponent)) for label, a in terms.items()}
+        norm_sq = sum(abs(a) ** 2 for a in terms.values())
         scale = 1.0 / math.sqrt(norm_sq)
         return cls({label: amp * scale for label, amp in terms.items()})
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eltsim import closedform, intensity, params, verification
-from eltsim.cli import PROFILE_BLOCK, SWEEP_CHUNK, branch_profile, main, profile_csv
+from eltsim.cli import BRANCHES, PROFILE_BLOCK, SWEEP_CHUNK, branch_profile, main, profile_csv
 
 CONFIG_TEXT = """\
 mass_kg = 1.44e-25
@@ -294,6 +294,25 @@ def test_states_bell_probabilities_sum(config_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_path_amplitudes_scaled_by_a_power_of_two_change_no_output(tmp_path, capsys, power):
+    # only the amplitudes' ratio is physical: at 2**600 their squares overflowed, at 2**-600 their norm underflowed
+    amplitudes = {"amp_nonexotic_re": 0.6, "amp_nonexotic_im": -0.8, "amp_exotic_re": 0.03, "amp_exotic_im": 0.04}
+    geometry = "".join(line + "\n" for line in CONFIG_TEXT.splitlines() if not line.startswith("amp_"))
+    commands = [["states", "--measurement", "bell"]]
+    commands += [["intensity", "--branch", branch, "--grid-points", "101"] for branch in BRANCHES]
+    outputs = []
+    for scale in (0, power):
+        path = tmp_path / f"scaled{scale}.cfg"
+        path.write_text(geometry + "".join(f"{key} = {math.ldexp(value, scale)!r}\n" for key, value in amplitudes.items()))
+        texts = []
+        for command in commands:
+            assert main(command + ["--config", str(path)]) == 0
+            texts.append(capsys.readouterr().out)
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_epsilon_linear_in_d(config_path, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
@@ -446,6 +465,21 @@ def test_sweep_memory_does_not_hold_the_csv(config_path, tmp_path):
         tracemalloc.stop()
     assert peak < 8e6
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 20001
+
+
+def test_sweep_block_memory_budget(config_path, tmp_path):
+    # the peak is one SWEEP_CHUNK block: 1.13 MB at 256 rows with the lattice scored in place (1.49 MB with a
+    # fresh temporary per step, 1.51 MB at 384 rows), so a larger block fails here rather than in peak RSS
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
+    argv += ["--steps", "2000", "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0  # warm: a first run in a fresh process also traces about 0.16 MB of one-time allocations
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.42e6
 
 
 def test_manifest_path_at_a_directory_leaves_the_earlier_csv(config_path, tmp_path, capsys):

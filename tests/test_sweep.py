@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references
-from eltsim import closedform, gaussians, intensity, params
+from eltsim import cli, closedform, gaussians, intensity, params
 from eltsim.cli import SWEEP_CHUNK, SWEEP_PARAMETERS, build_parser, cmd_sweep, main
 from eltsim.closedform import DegenerateConfigError
-from eltsim.params import rubidium_config
+from eltsim.params import rubidium_config, swept_rows
 
 RUBIDIUM = rubidium_config()
+CONFIG_TEXT = "mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n"
 
 
 def _sweep_rows(config, parameter, lo, hi, steps):
@@ -72,12 +73,42 @@ def test_rows_match_across_a_chunk_boundary(parameter):
     _assert_rows_match(RUBIDIUM, parameter, rows[SWEEP_CHUNK - 1 :])
 
 
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_block_size_is_a_pure_performance_setting(tmp_path, monkeypatch, capsys, parameter):
+    # the ufuncs and their operands do not depend on the block: every row and every CSV byte stays the same
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT)
+    base = getattr(RUBIDIUM, parameter)
+    argv = ["sweep", "--config", str(config), "--parameter", parameter, "--range", repr(base / 3), repr(base * 3)]
+    argv += ["--steps", "600"]
+    texts = set()
+    for chunk in (1, 7, 32, SWEEP_CHUNK):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+        out = tmp_path / f"sweep{chunk}.csv"
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert out.read_bytes() == stdout.encode("ascii")
+        texts.add(stdout)
+    assert len(texts) == 1 and len(stdout.splitlines()) == 601
+
+    swept = dataclasses.replace(RUBIDIUM, **{parameter: np.linspace(base / 3, base * 3, 600)})
+    coeffs = intensity.loop_coefficients(swept)
+    rows = [
+        intensity.aggregate_visibility(
+            closedform.EltCoefficients(*(field[i] for field in vars(coeffs).values())), swept_rows(swept, i)
+        )
+        for i in range(600)
+    ]
+    assert intensity.aggregate_visibility(coeffs, swept).tolist() == rows
+
+
 def test_swept_value_that_trips_a_guard_is_named(tmp_path, capsys):
     # at tau = 5e299 the envelope curvature C1 underflows to 0
     with pytest.raises(DegenerateConfigError, match=r"non-normalizable closed form at tau = 5e\+299"):
         closedform.solve(dataclasses.replace(RUBIDIUM, tau=np.array([1e-5, 5e299, 1e300])))
     config = tmp_path / "run.cfg"
-    config.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n")
+    config.write_text(CONFIG_TEXT)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--parameter", "tau", "--range", "1e-5", "1e300", "--steps", "3"]
     assert main(argv + ["--out", str(out)]) == 2
@@ -219,7 +250,7 @@ def test_degenerate_row_in_a_later_chunk_writes_no_row(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(intensity, "loop_coefficients", degenerate)
     config = tmp_path / "run.cfg"
-    config.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n")
+    config.write_text(CONFIG_TEXT)
     steps = 2 * SWEEP_CHUNK + 1
     argv = ["sweep", "--config", str(config), "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", str(steps)]
     assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 2
