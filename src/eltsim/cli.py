@@ -26,9 +26,11 @@ verification failure, 4 I/O error. On stdout, a sweep chunk whose visibility
 fails exits 2 after the blocks before it were written. CSV numbers use
 scientific notation with 17 significant digits so outputs are
 byte-reproducible across runs: ``csv_block`` makes each block's text in
-numpy, byte for byte the text of ``"%.16e" % x``, and hands to Python's
-``%`` only nan, inf and the numbers whose last digit long double cannot
-settle (about 2% of them; all of them where long double is only double).
+numpy, byte for byte the text of ``"%.16e" % x``, from a double-double
+scaling in float64 alone that is the same on every platform. It hands to
+Python's ``%`` only nan, inf and the numbers whose fraction lies within
+``_TIE_BOUND`` (5e-15) of 1/2, which in practice are the exact ties alone.
+A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 """
 
 from __future__ import annotations
@@ -62,25 +64,71 @@ PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text, made with 
 
 # ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
-# nearest y. y is the long double product of |x| and a correctly rounded 10**(16 - E). Its two
-# roundings leave it within 1e17 eps of exact; _TIE_BOUND adds 1% for the fraction's rounding to
-# double. Where y's fraction lies that close to 1/2 the nearest integer is unsettled, or a tie that
-# must round half to even, and Python's % formats x, as it does nan and inf. Where long double is
-# only double the bound exceeds 1/2; where its exponent is no wider than double's (double,
-# double-double) 10**(16 - E) overflows for the smallest doubles. There % formats every number.
-
+# nearest y. y is made in float64 alone, as a double-double. Per decade E a table holds the shift
+# s_E = -floor(E log2 10) and P_E = 10**(16 - E) * 2**-s_E in (5e15, 1e16] as hi + lo, both correctly
+# rounded from Python integers. a = ldexp(|x|, s_E) lies in [1, 20) and is exact, subnormals too, and
+# Dekker's TwoProduct (Numer. Math. 18, 224, 1971; hi is stored Veltkamp-split, since numpy has no fma)
+# gives p + err = a * hi exactly. Then y ~ p + t with t = err + a * lo: n = p + floor(t) is an exact
+# integer and the fraction t - floor(t) is exact for t >= 0, within u = 2**-53 for t < 0. t's error,
+# with y < 1e17: |lo| <= ulp(hi) / 2 <= u hi, so |a lo| <= u y < 11.2, and lo's own rounding adds
+# a u |lo| <= u * 11.2 = 1.3e-15; rounding a * lo (< 16) adds at most 2**-50 = 0.9e-15; |err| <=
+# ulp(p) / 2 <= 8 as p <= 1e17 < 2**57, so |t| < 32 and rounding the sum adds at most 2**-49 = 1.8e-15.
+# With the fraction's u that is 4.1e-15, and _TIE_BOUND = 5e-15. Only where the fraction lies that
+# close to 1/2 (in practice only at an exact tie, which must round half to even) is the nearest
+# integer unsettled; Python's % formats x there, and nan and inf.
 
 _E_MIN, _E_MAX = -324, 308  # the decades of 5e-324 and of the largest double; each table's row E - _E_MIN serves E
+_TIE_BOUND = 5e-15
 
 
-def _scaling(dtype):
-    """The table of 10**(16 - E) for every decade E of a nonzero double, the bound on y's error, and
-    whether every entry is finite, for a floating type."""
-    pow10 = np.array([f"1e{16 - e}" for e in range(_E_MIN, _E_MAX + 1)], dtype=dtype)
-    return pow10, 1.01e17 * float(np.finfo(dtype).eps), bool(np.isfinite(pow10).all())
+def _power_table():
+    """Per decade E: the shift s_E as int32, then P_E = 10**(16 - E) * 2**-s_E as the double-double
+    hi + lo with hi split into two halves of at most 26 bits each; built from Python integers alone."""
+    pow10 = [1]
+    for _ in range(16 - _E_MIN):
+        pow10.append(pow10[-1] * 10)
+    log2_10 = math.log2(10)
+    shift = [-math.floor(e * log2_10) for e in range(_E_MIN, _E_MAX + 1)]  # exact: E log2 10 stays 0.0015 from integers
+    hi, lo = [], []
+    for e, s in zip(range(_E_MIN, _E_MAX + 1), shift):
+        if e > 16:
+            num, den = 1 << -s, pow10[e - 16]
+        elif s > 0:
+            num, den = pow10[16 - e], 1 << s
+        else:
+            num, den = pow10[16 - e] << -s, 1
+        h = num / den  # int / int is correctly rounded
+        hi.append(h)
+        lo.append((num - int(h) * den) / den)  # P_E - hi, correctly rounded: hi >= 2**52 is an integer
+    hi = np.array(hi)
+    big = hi * 134217729.0  # Veltkamp: 2**27 + 1
+    big -= big - hi
+    return np.array(shift, np.int32), big, hi - big, np.array(lo)
 
 
-_POW10, _TIE_BOUND, _POW10_FINITE = _scaling(np.longdouble)
+_SHIFT, _HI_BIG, _HI_SMALL, _LO = _power_table()
+
+
+def _scaled(a: np.ndarray, row: np.ndarray):
+    """n = floor(y) as int64 and y's fraction, y = |x| * 10**(16 - E) for a = |x| and row = E - _E_MIN."""
+    a = np.ldexp(a, _SHIFT.take(row))
+    big, small, lo = _HI_BIG.take(row), _HI_SMALL.take(row), _LO.take(row)
+    p = np.add(big, small)
+    p *= a  # fl(a * hi)
+    a_big = np.multiply(a, 134217729.0)
+    a_small = np.subtract(a_big, a)
+    a_big -= a_small
+    np.subtract(a, a_big, out=a_small)
+    t = np.multiply(a_big, big)  # err = ((a_big big - p) + a_big small + a_small big) + a_small small, exact
+    t -= p
+    t += np.multiply(a_big, small, out=a_big)
+    t += np.multiply(a_small, big, out=big)
+    t += np.multiply(a_small, small, out=small)
+    t += np.multiply(a, lo, out=lo)
+    whole = np.floor(t, out=a)
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    return n, np.subtract(t, whole, out=t)
 
 
 def _ascii_digits(width: int) -> np.ndarray:
@@ -109,20 +157,21 @@ def csv_block(*columns) -> str:
     x = x.ravel()
     a = np.abs(x)
     zero = a == 0
-    by_percent = ~np.isfinite(a) if _POW10_FINITE else np.ones(a.shape, bool)
+    by_percent = ~np.isfinite(a)
     a[zero | by_percent] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits, the others get % text
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POW10[e - _E_MIN]
-    off = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 rounded across a power of ten
-    e[off] += np.where(y[off] < 1e16, -1, 1)
-    y[off] = a[off] * _POW10[e[off] - _E_MIN]
-    n = y.astype(np.uint64)  # y < 2**63 after the fix, which leaves it at most _TIE_BOUND outside [1e16, 1e17)
-    frac = (y - n).astype(np.float64)
-    n += frac > 0.5
-    by_percent = np.flatnonzero(by_percent | ~(np.abs(frac - 0.5) > _TIE_BOUND))
+    row = np.floor(np.log10(a)).astype(np.int64) - _E_MIN
+    n, frac = _scaled(a, row)
+    # log10 rounded across a power of ten; judged on n, so on p + t: a p of 1e16 with t < 0 lies below
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if off.size:
+        row[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off], frac[off] = _scaled(a[off], row[off])
+    frac -= 0.5  # the fraction's distance above 1/2: n rounds up where it is positive
+    n += frac > 0
+    by_percent = np.flatnonzero(by_percent | (np.abs(frac, out=frac) <= _TIE_BOUND))
     carry = n == 10**17  # rounded up into the next decade
     n[carry] = 10**16
-    e += carry
+    row += carry
     n[zero] = 0
     hi = n // 10**8
     lo = (n - hi * 10**8).astype(np.uint32)
@@ -142,7 +191,7 @@ def csv_block(*columns) -> str:
     cell[:, 2] = ord(".")
     cell[:, 3:19] = _DIGITS4[quads].view(np.uint8)
     cell[:, 19] = ord("e")
-    cell[:, 20:24] = _EXPONENT[e - _E_MIN].view(np.uint8).reshape(-1, 4)
+    cell[:, 20:24] = _EXPONENT[row].view(np.uint8).reshape(-1, 4)
     if by_percent.size:
         text = "".join([(_FMT % v).ljust(24, "\0") for v in x[by_percent].tolist()])
         cell[by_percent, :24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
@@ -179,6 +228,20 @@ def _complex_pair(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
+def _timestamp() -> str:
+    """The time a manifest records, in UTC: now, or the time that ``SOURCE_DATE_EPOCH`` names
+    (https://reproducible-builds.org/specs/source-date-epoch/), so that two runs can write the same bytes."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if not epoch:
+        return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    if not (epoch.isascii() and epoch.isdigit()):
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}")
+    try:
+        return datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc).isoformat()
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH {epoch} is out of range") from exc
+
+
 def write_manifest(path, solution: closedform.Solution, command: str, extra: dict):
     """Reproducibility record of a data file, read off one solution and written
     to ``path``: config echo, derived quantities, the full coefficient table,
@@ -188,7 +251,7 @@ def write_manifest(path, solution: closedform.Solution, command: str, extra: dic
         "tool": "eltsim",
         "version": __version__,
         "command": command,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": _timestamp(),
         "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "config": config_as_dict(solution.config),
         "derived": {

@@ -82,11 +82,6 @@ class GaussianForm:
         """The form at -x: b changes sign. A chain with d -> -d builds exactly this."""
         return replace(self, b=-self.b)
 
-    def norm_squared(self) -> float:
-        """integral |form(x)|^2 dx, in closed form."""
-        ar, br, cr = 2.0 * self.a.real, 2.0 * self.b.real, 2.0 * self.c.real
-        return abs(self.prefactor) ** 2 * math.sqrt(math.pi / ar) * math.exp(br * br / (4.0 * ar) + cr)
-
 
 def _sqrt(z):
     # one configuration stays in Python's complex arithmetic, as in every other step: cmath.sqrt and

@@ -119,11 +119,19 @@ class MeasurementBranch:
         return self.state
 
 
-def _branch(name: str, unnormalized: dict[BasisLabel, complex]) -> MeasurementBranch:
-    prob = sum(abs(a) ** 2 for a in unnormalized.values())
-    if prob <= _NORM_TOL**2:
+def _branch(
+    name: str, unnormalized: dict[BasisLabel, complex], summed: dict[BasisLabel, float] | None = None
+) -> MeasurementBranch:
+    """The branch of the projected amplitudes. ``summed`` gives, for an amplitude summed from several
+    terms, the sum of their magnitudes; any other amplitude is one term. An amplitude within ``_NORM_TOL``
+    of what it was summed from is the terms' cancellation, so zero: a branch is judged against its terms,
+    never against an absolute probability, and a nonzero vector keeps its state however small it is."""
+    summed = summed or {}
+    amplitudes = {label: a for label, a in unnormalized.items() if abs(a) > _NORM_TOL * summed.get(label, 0.0)}
+    if not amplitudes:
         return MeasurementBranch(name, 0.0, None)
-    return MeasurementBranch(name, prob, CompositeState.from_unnormalized(unnormalized))
+    prob = sum(abs(a) ** 2 for a in amplitudes.values())
+    return MeasurementBranch(name, prob, CompositeState.from_unnormalized(amplitudes))
 
 
 def bell_project(state: CompositeState, bell: str) -> MeasurementBranch:
@@ -132,6 +140,7 @@ def bell_project(state: CompositeState, bell: str) -> MeasurementBranch:
         raise StateError(f"unknown Bell label {bell!r}")
     comps = BELL_CAVITY_STATES[bell]
     projected: dict[BasisLabel, complex] = {}
+    summed: dict[BasisLabel, float] = {}
     for label, amp in state.terms.items():
         if label.cavities in FOCK_LABELS:
             overlap = comps.get(label.cavities, 0.0)
@@ -142,7 +151,8 @@ def bell_project(state: CompositeState, bell: str) -> MeasurementBranch:
         if overlap:
             new = BasisLabel(label.path, label.level, bell)
             projected[new] = projected.get(new, 0.0) + amp * overlap
-    return _branch(bell, projected)
+            summed[new] = summed.get(new, 0.0) + abs(amp * overlap)
+    return _branch(bell, projected, summed)
 
 
 def measure_bell_cavities(state: CompositeState) -> tuple[MeasurementBranch, MeasurementBranch, MeasurementBranch]:

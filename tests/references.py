@@ -1,6 +1,6 @@
 """Reference formulas that only the tests use: textbook intensity identities,
-the aggregate visibility of a sampled profile, and adaptive quadrature of the
-free-particle integrals.
+the aggregate visibility of a sampled profile, the closed-form norm of a
+Gaussian form, and adaptive quadrature of the free-particle integrals.
 
 The quadratures deliberately avoid the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from eltsim.gaussians import GaussianForm
 from eltsim.intensity import CENTRAL_FRINGES, IntensityProfile, ProfileError
 from eltsim.oracle import _DOMAIN_WIDTHS, QUAD_ABS_TOL
 from eltsim.params import PhysicsConfig
@@ -84,6 +85,12 @@ def aggregate_visibility(profile: IntensityProfile, spacing):
     with np.errstate(invalid="ignore", divide="ignore"):
         agg = np.where(hi + lo == 0, 0.0, (hi - lo) / (hi + lo))
     return float(agg) if agg.ndim == 0 else agg
+
+
+def norm_squared(form: GaussianForm) -> float:
+    """integral |form(x)|^2 dx, in closed form."""
+    ar, br, cr = 2.0 * form.a.real, 2.0 * form.b.real, 2.0 * form.c.real
+    return abs(form.prefactor) ** 2 * math.sqrt(math.pi / ar) * math.exp(br * br / (4.0 * ar) + cr)
 
 
 def complex_quad(f, a: float, b: float) -> complex:

@@ -89,6 +89,24 @@ def test_manifest_records_the_environment(config_path, tmp_path, command):
     assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def test_source_date_epoch_fixes_the_manifest_timestamp(config_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    manifests = []
+    for name in ("a.csv", "b.csv"):
+        assert main(["intensity", "--config", config_path, "--grid-points", "11", "--out", str(tmp_path / name)]) == 0
+        manifests.append((tmp_path / f"{name}.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["timestamp"] == "2023-11-14T22:13:20+00:00"
+
+
+@pytest.mark.parametrize("epoch", ["1.5", "-1", "soon", "9" * 30])
+def test_malformed_source_date_epoch_is_named(config_path, tmp_path, capsys, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main(["intensity", "--config", config_path, "--grid-points", "11", "--out", str(tmp_path / "p.csv")]) == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
 def test_ground_branch_profile(config_path, tmp_path):
     out = tmp_path / "ground.csv"
     code = main(
@@ -292,6 +310,17 @@ def test_states_bell_probabilities_sum(config_path, capsys):
     out = capsys.readouterr().out
     probs = [float(line.split("probability")[1]) for line in out.splitlines() if "probability" in line]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_ground_branch_of_tiny_probability_is_still_a_branch(tmp_path, capsys):
+    # at an amplitude ratio of 1e13 the ground branch has probability 1e-26: small, but a nonzero vector
+    path = tmp_path / "loops.cfg"
+    path.write_text(CONFIG_TEXT.replace("amp_exotic_re = 0.05", "amp_exotic_re = 1e13"))
+    assert main(["intensity", "--config", str(path), "--branch", "ground", "--grid-points", "11"]) == 0
+    capsys.readouterr()
+    assert main(["states", "--config", str(path), "--measurement", "internal"]) == 0
+    ground = next(line for line in capsys.readouterr().out.splitlines() if line.startswith(" branch g:"))
+    assert float(ground.split("probability")[1]) == pytest.approx(1e-26, rel=1e-9)
 
 
 @pytest.mark.parametrize("power", [600, -600])

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from eltsim import cli
 from eltsim.cli import csv_block
 
-EXTENDED = cli._TIE_BOUND < 0.5 and cli._POW10_FINITE  # long double resolves y: x87 or quad
-
 
 def _rowwise(columns) -> str:
     """The reference: one ``%`` per number, rows joined as the CSV writes them."""
@@ -91,31 +89,65 @@ def test_csv_block_is_percent_formatting_on_edge_values():
     assert csv_block(*columns) == _rowwise(columns)
 
 
+def _nearest(value: Fraction, double: float) -> bool:
+    """Whether ``double`` is a double nearest to ``value``: no neighbour lies closer."""
+    error = abs(value - Fraction(double))
+    return all(error <= abs(value - Fraction(float(np.nextafter(double, side)))) for side in (-np.inf, np.inf))
+
+
+def _significant_bits(double: float) -> int:
+    numerator = abs(double.as_integer_ratio()[0])
+    return (numerator >> ((numerator & -numerator).bit_length() - 1)).bit_length()
+
+
 def test_power_of_ten_table_is_correctly_rounded():
-    for e, power in zip(range(cli._E_MIN, cli._E_MAX + 1), cli._POW10):
-        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** (16 - e))
-        assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, e
+    table = (cli._SHIFT, cli._HI_BIG, cli._HI_SMALL, cli._LO)
+    for e, shift, big, small, lo in zip(range(cli._E_MIN, cli._E_MAX + 1), *(column.tolist() for column in table)):
+        assert 1 <= Fraction(10) ** e * Fraction(2) ** shift < 2, e  # so |x| * 2**shift lies in [1, 20)
+        power = Fraction(10) ** (16 - e) / Fraction(2) ** shift
+        hi = big + small
+        assert Fraction(big) + Fraction(small) == Fraction(hi), e  # the halves sum exactly to hi
+        assert _significant_bits(big) <= 26 and (small == 0 or _significant_bits(small) <= 26), e
+        assert _nearest(power, hi), e
+        assert _nearest(power - Fraction(hi), lo), e
 
 
-@pytest.mark.skipif(not EXTENDED, reason="every number takes % where long double is no wider than double")
+def test_scaling_error_is_within_the_tie_bound():
+    """n + fraction against the exact |x| * 10**(16 - E), for random doubles of every binary exponent,
+    subnormals, and the powers of ten with their neighbours."""
+    rng = np.random.default_rng(16)
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 8) << np.uint64(52)
+    mantissas = rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    a = np.concatenate(
+        [
+            (exponents | mantissas).view(np.float64),
+            rng.integers(1, 2**52, 2000, dtype=np.uint64).view(np.float64),  # subnormals
+            powers,
+            np.nextafter(powers, 0),
+            np.nextafter(powers, np.inf),
+        ]
+    )
+    decades = np.array([Decimal(v).adjusted() for v in a.tolist()])
+    n, fraction = cli._scaled(a, decades - cli._E_MIN)
+    worst = Fraction(0)
+    for v, e, whole, part in zip(a.tolist(), decades.tolist(), n.tolist(), fraction.tolist()):
+        assert 0 <= part <= 1  # t - floor(t) of a tiny t < 0 rounds to 1
+        worst = max(worst, abs(whole + Fraction(part) - Fraction(v) * Fraction(10) ** (16 - e)))
+    assert worst <= cli._TIE_BOUND, float(worst)
+
+
 def test_only_near_ties_and_non_finite_numbers_take_percent(percent):
     x = np.random.default_rng(5).uniform(-1e-5, 1e-5, 30000)
-    csv_block(x)
-    assert abs(percent.calls / x.size - 2 * cli._TIE_BOUND) < 0.005  # the window about 1/2 is 2 _TIE_BOUND wide
-    percent.calls = 0
+    assert csv_block(x) == _rowwise([x])
+    assert percent.calls == 0
     special = np.array([*_ties(), np.nan, np.inf, -np.inf])
     assert csv_block(special) == _rowwise([special])
     assert percent.calls == special.size
 
 
-@pytest.mark.parametrize("platform", ["bound at 1/2", "long double is double"])
-def test_without_extended_precision_every_number_takes_percent(percent, monkeypatch, platform):
-    if platform == "bound at 1/2":
-        monkeypatch.setattr(cli, "_TIE_BOUND", 0.5)
-    else:
-        for name, value in zip(("_POW10", "_TIE_BOUND", "_POW10_FINITE"), cli._scaling(np.float64)):
-            monkeypatch.setattr(cli, name, value)
-        assert cli._TIE_BOUND > 0.5 and not cli._POW10_FINITE
+def test_a_tie_bound_at_one_half_sends_every_number_to_percent(percent, monkeypatch):
+    monkeypatch.setattr(cli, "_TIE_BOUND", 0.5)
     values = _edge_values()[::7]
     columns = values[: values.size // 3 * 3].reshape(-1, 3).T
     with warnings.catch_warnings():

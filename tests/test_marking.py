@@ -115,6 +115,16 @@ def test_zero_probability_collapse_undefined():
         branch.collapsed()
 
 
+def test_terms_that_cancel_to_rounding_leave_a_zero_branch():
+    # phi- sums 0.3 and 0.1 + 0.2 with opposite signs: a residue of 1.7e-16 is their rounding, not a branch
+    state = CompositeState.from_unnormalized({BasisLabel("1", "g", "10"): 0.3, BasisLabel("1", "g", "01"): 0.1 + 0.2})
+    assert bell_project(state, "phi+").probability == pytest.approx(1.0, abs=1e-15)
+    branch = bell_project(state, "phi-")
+    assert branch.probability == 0.0
+    with pytest.raises(StateError):
+        branch.collapsed()
+
+
 def test_unknown_bell_label(state):
     with pytest.raises(StateError):
         bell_project(state, "phi0")
