@@ -212,6 +212,8 @@ def _reference(args, config: PhysicsConfig):
 
 def _grid(args, coeffs) -> np.ndarray:
     points = args.grid_points
+    if points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {points}")
     if args.grid_min is not None or args.grid_max is not None:
         lo, hi = args.grid_min, args.grid_max
         if lo is None or hi is None:
@@ -381,7 +383,7 @@ def cmd_sweep(args, config: PhysicsConfig):
         raise ConfigError("sweep range must satisfy 0 < min <= max")
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
-    values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
+    values = np.linspace(lo, hi, args.steps)
     swept = dataclasses.replace(config, **{args.parameter: values})
     _warn(swept)  # derives every value first: a value out of range is named before any row is made
     # epsilon depends on d and sigma0 only, so it may be one value for all rows

@@ -12,10 +12,7 @@ arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
 
     |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
 
-by that mirror. ``elt_intensity``, ``default_grid``,
-``fringe_spacing`` and the clamp and normalization of every profile work
-along the last axis, so coefficients read for N configurations at once give
-an (N, points) block in one call; one configuration is the 1-D case.
+by that mirror. Each profile holds one configuration, on a 1-D grid.
 
 ``eltsim sweep`` reads no profile. ``aggregate_visibility`` scores a block
 of configurations on one shared fringe lattice, x = k h with
@@ -47,7 +44,7 @@ class ProfileError(ValueError):
 
 @dataclass
 class IntensityProfile:
-    grid: np.ndarray  # strictly increasing screen positions, m (one row per configuration)
+    grid: np.ndarray  # strictly increasing screen positions, m
     values: np.ndarray  # intensity per point, >= 0
     branch: str
     normalization: str
@@ -70,31 +67,31 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _per_row(value):
-    """A value per profile (scalar, or one per configuration) as a column against the last axis."""
-    return np.asarray(value)[..., None]
+def _significantly_negative(lo, hi):
+    """Whether a minimum ``lo`` (maximum ``hi``) is below 0 by more than round-off: 1e-12 max(1, |lo|, |hi|)."""
+    return lo < -1e-12 * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
 
 
 def _finalize(grid, values, branch, normalization, visibility=None) -> IntensityProfile:
-    """Clamp round-off negatives and normalize, each profile along the last axis."""
+    """Clamp round-off negatives and normalize; a profile with no positive peak or area to normalize by raises."""
     values = np.asarray(values, dtype=float)
     negative = values < 0
     clamped = int(np.count_nonzero(negative))
     if clamped:
-        floor = values.min(axis=-1)
-        significant = floor < -1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
-        if np.any(significant):
-            raise ProfileError(f"intensity significantly negative: min {float(np.min(floor[significant])):.3g}")
+        lo = values.min()
+        if _significantly_negative(lo, values.max()):
+            raise ProfileError(f"intensity significantly negative: min {lo:.3g}")
         values = np.where(negative, 0.0, values)
     if normalization not in NORMALIZATIONS:
         raise ProfileError(f"unknown normalization {normalization!r}")
     if normalization != "raw":
         if normalization == "peak":
-            scale = values.max(axis=-1)
+            scale = values.max()
         else:
-            scale = np.trapezoid(values, grid, axis=-1) if grid.shape[-1] > 1 else values.sum(axis=-1)
-        scale = _per_row(scale)
-        values = values / np.where(scale > 0, scale, 1.0)  # a profile without positive scale stays as is
+            scale = np.trapezoid(values, grid) if grid.size > 1 else values.sum()
+        if not scale > 0:
+            raise ProfileError(f"cannot normalize the {branch} profile: its {normalization} on this grid is {scale:.3g}")
+        values = values / scale
     return IntensityProfile(grid, values, branch, normalization, visibility, clamped)
 
 
@@ -104,25 +101,23 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
     Evaluated in the real form A^2 [e^(u+v) + e^(u-v) + 2 e^u cos(2 gamma x)]
     (module docstring), equal to |ψ12|^2 + |ψ21|^2 + 2 Re(ψ12 ψ21*)
     without a complex exponential. Symmetric in x because ψ21(x) = ψ12(-x).
-    For coefficients of N configurations ``grid`` is (N, points), one row
-    each; the pointwise visibility is 0 where |ψ12|^2 + |ψ21|^2 underflows
-    to 0.
+    The pointwise visibility is 0 where |ψ12|^2 + |ψ21|^2 underflows to 0.
 
-    ``peak`` and ``area`` are ratios, so for them each row's exponents are
-    shifted by its largest, max(u + |v|), before ``exp``: the largest term is
-    then 1 and a row whose absolute values would be subnormal keeps full
+    ``peak`` and ``area`` are ratios, so for them the exponents are shifted
+    by their largest, max(u + |v|), before ``exp``: the largest term is then
+    1 and a profile whose absolute values would be subnormal keeps full
     precision. ``raw`` keeps the absolute values.
     """
     grid = _check_grid(grid)
     # ln A^2 rides in the exponent, so no factor underflows where the product does not
-    u = _per_row(2.0 * (coeffs.c3 + np.log(coeffs.amplitude))) - _per_row(2.0 * coeffs.c1) * grid * grid
-    v = _per_row(2.0 * coeffs.c2) * grid
+    u = 2.0 * (coeffs.c3 + np.log(coeffs.amplitude)) - 2.0 * coeffs.c1 * grid * grid
+    v = 2.0 * coeffs.c2 * grid
     if normalization != "raw":
-        u = u - _per_row(np.max(u + np.abs(v), axis=-1))
+        u = u - np.max(u + np.abs(v))
     diag = np.exp(u + v) + np.exp(u - v)  # |ψ12|^2 + |ψ21|^2
     cross = 2.0 * np.exp(u)  # 2 |ψ12 ψ21*|
-    del u, v  # a sweep block holds many points: keep few of its temporaries alive at once
-    values = diag + cross * np.cos(_per_row(2.0 * coeffs.gamma) * grid)
+    del u, v  # a 200001-point profile: free 3.2 MB before the cosine's temporaries are made
+    values = diag + cross * np.cos(2.0 * coeffs.gamma * grid)
     with np.errstate(invalid="ignore", divide="ignore"):
         vis = np.where(diag > 0, cross / diag, 0.0)
     return _finalize(grid, values, "elt", normalization, vis)
@@ -205,16 +200,15 @@ def branch_intensity(
 
 
 def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.ndarray:
-    """Symmetric grid spanning +/- 5 fringe spacings pi/|gamma|; one row per
-    configuration for coefficient arrays. One point is the centre, 0."""
-    if np.any(coeffs.gamma == 0):
+    """Symmetric grid spanning +/- 5 fringe spacings pi/|gamma|. One point is the centre, 0."""
+    if coeffs.gamma == 0:
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
     half = 5.0 * np.pi / np.abs(coeffs.gamma)
     if points < 1:
         raise ProfileError("grid needs at least one point")
     if points == 1:
-        return np.zeros_like(half)[..., None]
-    return np.linspace(-half, half, points, axis=-1)
+        return np.zeros(1)
+    return np.linspace(-half, half, points)
 
 
 def fringe_spacing(coeffs: closedform.EltCoefficients):
@@ -247,8 +241,8 @@ def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConf
     k = _LATTICE_K
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a degenerate row is named below
         h = np.pi / np.abs(gamma) / 80.0
-        a = _per_row(2.0 * coeffs.c1 * h * h)
-        b = _per_row(np.abs(2.0 * coeffs.c2 * h))
+        a = (2.0 * coeffs.c1 * h * h)[..., None]  # a column per configuration, against the lattice's k
+        b = np.abs(2.0 * coeffs.c2 * h)[..., None]
         peak = np.minimum(np.maximum(np.rint(b / (2.0 * a)), 0.0), k[-1])
         shift = b * peak - a * peak * peak
         # u, v and the sum are one (3, rows, 121) allocation that every step writes into: glibc keeps one
@@ -272,8 +266,8 @@ def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConf
         return (f"window intensity without a finite positive peak, or significantly negative{where}: "
                 f"min {at(lo):.3g}, max {at(hi):.3g}")
 
-    significant = lo < -1e-12 * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
-    check(np.isfinite(shift[..., 0]) & (0 < hi) & (hi < np.inf) & ~significant, config, undefined, ProfileError)
+    defined = np.isfinite(shift[..., 0]) & (0 < hi) & (hi < np.inf) & ~_significantly_negative(lo, hi)
+    check(defined, config, undefined, ProfileError)
     lo = np.where(lo < 0, 0.0, lo) / hi  # clamped and peak-normalized: the peak is 1
     agg = (1.0 - lo) / (1.0 + lo)
     return float(agg) if agg.ndim == 0 else agg

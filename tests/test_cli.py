@@ -203,6 +203,18 @@ def test_non_finite_grid_edges_are_named(config_path, tmp_path, capsys, edges):
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+@pytest.mark.parametrize("edges", [[], ["--grid-min=-1e-6", "--grid-max=1e-6"]], ids=["default-grid", "custom-grid"])
+def test_grid_points_below_one_are_named(config_path, tmp_path, capsys, edges, points):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["intensity", "--config", config_path, *edges, "--grid-points", points, "--out", str(out)])
+    assert code == 2
+    assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG_TEXT + "unknown_key = 1\n")
@@ -312,6 +324,33 @@ def test_states_bell_probabilities_sum(config_path, capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+# config #5 of the 400-config verify-box sample: |ψ|^2 of every straight path underflows on the default grid
+UNDERFLOWING_CONFIG_TEXT = """\
+mass_kg = 1.44e-25
+sigma0_m = 2.623691479952065e-09
+beta_m = 2.6975054975252737e-09
+d_m = 9.95593367071614e-07
+t_s = 7.707164487265234e-09
+tau_s = 1.0290205204153978e-09
+amp_nonexotic_re = 1.0
+amp_exotic_re = 0.05
+"""
+
+
+@pytest.mark.parametrize("branch", ["ground", "full", "fringes", "antifringes"])
+def test_a_profile_that_underflows_everywhere_is_named_not_written(tmp_path, capsys, branch):
+    config = tmp_path / "run.cfg"
+    config.write_text(UNDERFLOWING_CONFIG_TEXT)
+    out = tmp_path / "profile.csv"
+    assert main(["intensity", "--config", str(config), "--branch", branch, "--out", str(out)]) == 2
+    assert f"cannot normalize the {branch} profile: its peak on this grid is 0" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    # the raw profile is written: its absolute values are all 0 there
+    assert main(["intensity", "--config", str(config), "--branch", branch, "--raw", "--out", str(out)]) == 0
+    _, body = _read_csv(out)
+    assert np.all(body[:, 1] == 0.0)
+
+
 def test_a_ground_branch_of_tiny_probability_is_still_a_branch(tmp_path, capsys):
     # at an amplitude ratio of 1e13 the ground branch has probability 1e-26: small, but a nonzero vector
     path = tmp_path / "loops.cfg"
@@ -359,6 +398,16 @@ def test_sweep_degenerate_range(config_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+def test_one_step_sweep_is_the_low_end(config_path, capsys):
+    base = ["sweep", "--config", config_path, "--parameter", "t", "--steps", "1"]
+    assert main(base + ["--range", "20e-6", "30e-6"]) == 0
+    one_step = capsys.readouterr().out
+    assert main(base + ["--range", "20e-6", "20e-6"]) == 0
+    degenerate = capsys.readouterr().out
+    assert len(one_step.splitlines()) == 2
+    assert one_step == degenerate
 
 
 def test_sweep_gouy_continuity(config_path, capsys):

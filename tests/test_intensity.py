@@ -196,6 +196,39 @@ def test_missing_evaluator_rejected(config, grid):
         branch_intensity(state, grid, config, "raw", evaluators={"1": lambda x: x})
 
 
+def _indefinite(config, amp2, normalization):
+    # |ψ1|^2 - |ψ2|^2 with ψ1 = 1: a Hermitian weight matrix that is not positive, on five points
+    density = marking.CenterOfMassDensity({("1", "1"): 1.0, ("2", "2"): -1.0})
+    evaluators = {"1": np.ones_like, "2": lambda x: np.array(amp2, dtype=complex)}
+    return branch_intensity(density, np.linspace(-1.0, 1.0, 5), config, normalization, evaluators, label="stub")
+
+
+@pytest.mark.parametrize("normalization", ["raw", "peak"])
+def test_a_significantly_negative_profile_is_refused(config, normalization):
+    with pytest.raises(ProfileError, match="significantly negative: min -1e-09"):
+        _indefinite(config, [0.0, 0.0, math.sqrt(1.0 + 1e-9), 0.0, 0.0], normalization)
+
+
+@pytest.mark.parametrize("normalization", ["raw", "peak"])
+def test_a_round_off_negative_is_clamped_and_counted(config, normalization):
+    # 1 - |ψ2|^2 is about -1e-13 at two points, within 1e-12 of the peak 1
+    edge = math.sqrt(1.0 + 1e-13)
+    profile = _indefinite(config, [0.0, edge, 0.0, edge, 0.0], normalization)
+    assert 1.0 - edge * edge < 0.0
+    assert profile.clamped_points == 2
+    assert profile.values.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+
+
+def test_a_profile_without_a_positive_peak_is_not_normalized(config):
+    density = marking.CenterOfMassDensity({("1", "1"): 1.0})
+    grid = np.linspace(-1.0, 1.0, 5)
+    evaluators = {"1": np.zeros_like}
+    for normalization in ("peak", "area"):
+        with pytest.raises(ProfileError, match=f"cannot normalize the stub profile: its {normalization} on this grid is 0"):
+            branch_intensity(density, grid, config, normalization, evaluators, label="stub")
+    assert branch_intensity(density, grid, config, "raw", evaluators, label="stub").values.tolist() == [0.0] * 5
+
+
 def test_default_grid_span(coeffs):
     grid = default_grid(coeffs, points=11)
     assert grid.size == 11
