@@ -22,14 +22,19 @@ The chunk only spreads the fixed cost of a block's numpy calls: no row and no
 byte of the output depends on its size.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
-verification failure, 4 I/O error. On stdout, a sweep chunk whose visibility
-fails exits 2 after the blocks before it were written. CSV numbers use
-scientific notation with 17 significant digits so outputs are
-byte-reproducible across runs: ``csv_block`` makes each block's text in
-numpy, byte for byte the text of ``"%.16e" % x``, from a double-double
-scaling in float64 alone that is the same on every platform. It hands to
-Python's ``%`` only nan, inf and the numbers whose fraction lies within
-``_TIE_BOUND`` (5e-15) of 1/2, which in practice are the exact ties alone.
+verification failure, 4 I/O error. A flag's negative value may follow it
+after a space, exponent and all: ``--grid-min -1e-6`` is ``--grid-min=-1e-6``.
+On stdout, a sweep chunk whose visibility fails exits 2 after the blocks
+before it were written. CSV numbers use scientific notation with 17
+significant digits so outputs are byte-reproducible across runs:
+``csv_block`` makes each block's text in numpy, byte for byte the text of
+``"%.16e" % x``, from a double-double scaling in float64 alone that is the
+same on every platform. It hands to Python's ``%`` only nan, inf and the
+numbers whose fraction lies within ``_TIE_BOUND`` (5e-15) of 1/2, which in
+practice are the exact ties alone. It writes the text straight into its
+final bytes, each column in slots of one width; only a block in which some
+number leaves part of its slot unused (a column of both signs or of two- and
+three-digit exponents, nan, inf) is compacted after.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 """
 
@@ -38,10 +43,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -60,7 +67,7 @@ BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 SWEEP_CHUNK = 256  # configurations per visibility and CSV block; each (SWEEP_CHUNK x 121) lattice array is 248 kB
-PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text, made with a 2 MB tracemalloc peak
+PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 MB tracemalloc peak (budget 2 MB)
 
 # ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
@@ -141,24 +148,48 @@ def _ascii_digits(width: int) -> np.ndarray:
 
 
 _DIGITS4 = _ascii_digits(4).view(np.uint32).ravel()  # "0000" ... "9999", gathered four bytes at a time
-_decades = np.arange(_E_MIN, _E_MAX + 1)
-_EXPONENT = np.empty((_decades.size, 4), np.uint8)  # "+dd" or "+ddd" per decade, 0 for hundreds left out
-_EXPONENT[:, 0] = np.where(_decades < 0, ord("-"), ord("+"))
-_EXPONENT[:, 1:] = _ascii_digits(3)[np.abs(_decades)]
-_EXPONENT[np.abs(_decades) < 100, 1] = 0
-_EXPONENT = _EXPONENT.view(np.uint32).ravel()
+_LEAD = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", "V2")  # the leading digit and the point
 
 
-def csv_block(*columns) -> str:
-    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
-    the same bytes as Python's ``%``, made a block at a time in numpy."""
-    x = np.column_stack(np.broadcast_arrays(*columns)).astype(np.float64)
-    rows, width = x.shape
-    x = x.ravel()
+def _exponent_tables():
+    """Per decade E, "e+dd" (right for |E| < 100 alone) as 4-byte items, and "e+ddd", or "e+dd" then a 0 for
+    the byte left out, as 5-byte items."""
+    decades = np.arange(_E_MIN, _E_MAX + 1)
+    two = np.abs(decades) < 100
+    text = np.empty((decades.size, 5), np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(decades < 0, ord("-"), ord("+"))
+    text[:, 2:] = _ascii_digits(3)[np.abs(decades)]
+    text[two, 2:4] = text[two, 3:]
+    text[two, 4] = 0
+    return np.ascontiguousarray(text[:, :4]).view("V4").ravel(), text.view("V5").ravel()
+
+
+_EXPONENT4, _EXPONENT5 = _exponent_tables()
+
+# A block's text is laid out column-major in one (rows x row width) buffer. Each column has one slot width
+# for all its rows, "-d.dddddddddddddddde-ddd,": 23 bytes, plus a sign byte where some number of the column
+# has its sign bit set and a third exponent digit where some number has |E| >= 100 (a number Python's %
+# formats is sized by its own text). Each part of a column's slots (sign, "d.", 16 digits, exponent) is one
+# write for every row, through a strided view with one void item per row, and the separators of all
+# columns are one more. A number that leaves part of its slot unused (an unsigned number in a signed
+# column, a two-digit exponent in a three-digit column, % text such as "nan") leaves a 0 there, and only a
+# block that holds such a 0 is compacted.
+
+
+def _run(buf: np.ndarray, start: int, item) -> np.ndarray:
+    """The ``item``-typed bytes from ``start`` on in every row of ``buf``: a strided view, one item per row."""
+    return np.ndarray(buf.shape[:1], item, buf, start, buf.strides[:1])
+
+
+def _digits(x: np.ndarray):
+    """Per number of x, its ``_FMT`` text in parts: the table row E - _E_MIN of its decade E, its leading digit
+    and the point, and its 16 digits after the point, as 2- and 16-byte void items; and the indices of the
+    numbers that Python's % formats."""
     a = np.abs(x)
     zero = a == 0
-    by_percent = ~np.isfinite(a)
-    a[zero | by_percent] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits, the others get % text
+    special = ~np.isfinite(a)
+    a[zero | special] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits, the others get % text
     row = np.floor(np.log10(a)).astype(np.int64) - _E_MIN
     n, frac = _scaled(a, row)
     # log10 rounded across a power of ten; judged on n, so on p + t: a p of 1e16 with t < 0 lies below
@@ -168,7 +199,7 @@ def csv_block(*columns) -> str:
         n[off], frac[off] = _scaled(a[off], row[off])
     frac -= 0.5  # the fraction's distance above 1/2: n rounds up where it is positive
     n += frac > 0
-    by_percent = np.flatnonzero(by_percent | (np.abs(frac, out=frac) <= _TIE_BOUND))
+    by_percent = np.flatnonzero(special | (np.abs(frac, out=frac) <= _TIE_BOUND))
     carry = n == 10**17  # rounded up into the next decade
     n[carry] = 10**16
     row += carry
@@ -182,21 +213,51 @@ def csv_block(*columns) -> str:
     for j, part in ((0, hi), (2, lo)):
         quads[:, j] = part // 10**4
         quads[:, j + 1] = part - quads[:, j] * 10**4
-    cell = np.empty((rows, width, 25), np.uint8)  # "-d.dddddddddddddddde-ddd," per number, 0 for a byte left out
-    cell[:, :, 24] = ord(",")
-    cell[:, -1, 24] = ord("\n")
-    cell = cell.reshape(x.size, 25)
-    cell[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    cell[:, 1] = lead + ord("0")
-    cell[:, 2] = ord(".")
-    cell[:, 3:19] = _DIGITS4[quads].view(np.uint8)
-    cell[:, 19] = ord("e")
-    cell[:, 20:24] = _EXPONENT[row].view(np.uint8).reshape(-1, 4)
-    if by_percent.size:
-        text = "".join([(_FMT % v).ljust(24, "\0") for v in x[by_percent].tolist()])
-        cell[by_percent, :24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
-    cell = cell.ravel()
-    return cell[cell != 0].tobytes().decode("ascii")
+    return row, _LEAD.take(lead), _DIGITS4.take(quads).view("V16").ravel(), by_percent
+
+
+def csv_block(*columns) -> str:
+    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
+    the same bytes as Python's ``%``, made a block at a time in numpy."""
+    x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
+    width, rows = x.shape
+    if not rows:
+        return ""  # an empty buffer holds no strided view
+    x = x.ravel()
+    row, lead, digits, by_percent = _digits(x)
+    negative = np.signbit(x)
+    long = np.abs(row + _E_MIN) >= 100  # a three-digit exponent
+    texts = [_FMT % v for v in x[by_percent].tolist()]
+    if texts:  # sized by their own text, where nan has no sign
+        negative[by_percent] = [text[0] == "-" for text in texts]
+        long[by_percent] = [len(text) == 23 + (text[0] == "-") for text in texts]
+    negative, long = negative.reshape(width, rows), long.reshape(width, rows)
+    row, lead, digits = row.reshape(width, rows), lead.reshape(width, rows), digits.reshape(width, rows)
+    signed, wide = negative.any(axis=1).tolist(), long.any(axis=1).tolist()
+    slot = [23 + sign + three for sign, three in zip(signed, wide)]  # bytes per number, separator included
+    start = [0, *itertools.accumulate(slot)]
+    buf = np.empty((rows, start[-1]), np.uint8)
+    for c, (sign, three) in enumerate(zip(signed, wide)):
+        at = start[c] + sign  # the leading digit
+        if sign:
+            _run(buf, at - 1, np.uint8)[:] = negative[c] * np.uint8(ord("-"))
+        _run(buf, at, lead.dtype)[:] = lead[c]
+        _run(buf, at + 2, digits.dtype)[:] = digits[c]
+        exponent = (_EXPONENT5 if three else _EXPONENT4).take(row[c])
+        _run(buf, at + 18, exponent.dtype)[:] = exponent
+    buf[:, np.subtract(start[1:], 1)] = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)  # the separators
+    if texts:  # each over its slot but the separator, padded with 0: one write per column
+        percent = np.searchsorted(by_percent, np.arange(width + 1) * rows).tolist()  # texts[percent[c]:percent[c + 1]]
+        for c, size in enumerate(slot):
+            mine = slice(percent[c], percent[c + 1])
+            if texts[mine]:
+                padded = "".join([text.ljust(size - 1, "\0") for text in texts[mine]]).encode("ascii")
+                lines = by_percent[mine] - c * rows
+                buf[lines, start[c] : start[c + 1] - 1] = np.frombuffer(padded, np.uint8).reshape(-1, size - 1)
+    filled = negative.all(axis=1).tolist() == signed and long.all(axis=1).tolist() == wide  # each column uniform
+    if not filled or min(map(len, texts), default=22) < 22:  # nan and inf fill no slot
+        buf = buf[buf != 0]
+    return str(buf.data, "ascii")
 
 
 def _warn(config: PhysicsConfig):
@@ -310,6 +371,8 @@ def cmd_intensity(args, config: PhysicsConfig):
 
 
 def cmd_verify(args, config: PhysicsConfig):
+    if args.points < 1:
+        raise ConfigError(f"--points needs at least one point, got {args.points}")
     _warn(config)
     solution = closedform.solve(config)
     report = verification.full_verification(
@@ -403,8 +466,19 @@ def cmd_sweep(args, config: PhysicsConfig):
     return EXIT_OK, blocks(), _reference(args, config), extra
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but an argument that reads as a negative float, exponent, inf and nan included,
+    is a value and not a flag: argparse's own pattern (Python 3.11) has no exponent, so it took the
+    ``-1e-6`` of ``--grid-min -1e-6`` for a flag. ``add_subparsers`` makes each subparser of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$"
+        self._negative_number_matcher = re.compile(number, re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eltsim",
         description="Double-slit matter-wave simulator isolating looped-trajectory interference.",
     )

@@ -255,6 +255,47 @@ def test_verify_rejects_zero_points(config_path, capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_verify_points_below_one_are_named(config_path, capsys, points):
+    assert main(["verify", "--config", config_path, "--points", points, "--skip-quadrature"]) == 2
+    assert f"--points needs at least one point, got {points}" in capsys.readouterr().err
+
+
+def test_negative_grid_edges_after_a_space(config_path, capsys):
+    # argparse's own negative-number pattern has no exponent: "--grid-min -1e-6" used to exit 2 before any check
+    edges = ["--grid-points", "5"]
+    assert main(["intensity", "--config", config_path, "--grid-min=-1e-6", "--grid-max=1e-6", *edges]) == 0
+    joined = capsys.readouterr().out
+    assert main(["intensity", "--config", config_path, "--grid-min", "-1e-6", "--grid-max", "1e-6", *edges]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(["intensity", "--config", config_path, "--grid-min", "-.5E-6", "--grid-max", "1e-6", *edges]) == 0
+    assert float(capsys.readouterr().out.splitlines()[1].split(",")[0]) == -0.5e-6
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["intensity", "--grid-min", "-inf", "--grid-max", "inf"], "must be finite numbers with a finite span"),
+        (["verify", "--points", "-1e3"], "invalid int value: '-1e3'"),
+        (["sweep", "--parameter", "d", "--range", "-1e-6", "1e-6"], "sweep range must satisfy 0 < min <= max"),
+    ],
+    ids=["intensity", "verify", "sweep"],
+)
+def test_every_subcommand_reads_a_negative_number_as_a_value(config_path, capsys, argv, named):
+    try:
+        code = main([argv[0], "--config", config_path, *argv[1:]])
+    except SystemExit as exc:  # argparse's own error, on a value it did not take for a flag
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_states_reads_a_negative_number_as_a_config_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["states", "--config", "-1e-6"]) == 2
+    assert "cannot read config file -1e-6" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_corrupt_target(config_path):
     assert main(["verify", "--config", config_path, "--skip-quadrature", "--corrupt-z", "z99"]) == 2
 

@@ -1,6 +1,7 @@
 """``cli.csv_block`` writes every number with the bytes of Python's ``"%.16e" % x``."""
 
 import struct
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -83,6 +84,86 @@ def test_csv_block_is_percent_formatting(width, rows, data):
         assert csv_block(*columns) == _rowwise(columns)
 
 
+_MAGNITUDES = {
+    "two-digit": st.floats(1e-99, 9.999999999999999e99),
+    "three-digit": st.floats(1e100, 1.7976931348623157e308) | st.floats(5e-324, 9.99e-101, allow_subnormal=True),
+    "zero": st.just(0.0),
+    "any": _doubles,
+}
+
+
+@st.composite
+def _regime_column(draw, rows):
+    """A column whose sign and magnitude regime are drawn once: signs all clear, all set or mixed, and
+    exponents of two digits, of three, zeros, or any double."""
+    magnitude = _MAGNITUDES[draw(st.sampled_from(sorted(_MAGNITUDES)))]
+    values = np.abs(draw(st.lists(magnitude, min_size=rows, max_size=rows)))
+    sign = draw(st.sampled_from(["+", "-", "mixed"]))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows, max_size=rows)) if sign == "mixed" else 1.0
+    return np.copysign(values, -1.0 if sign == "-" else signs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 6), rows=st.integers(0, 64), data=st.data())
+def test_csv_block_is_percent_formatting_by_column_regime(width, rows, data):
+    # a column of one sign and one exponent width fills its slots; a mixed one leaves bytes for compaction
+    columns = np.array([data.draw(_regime_column(rows)) for _ in range(width)]).reshape(width, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csv_block(*columns) == _rowwise(columns)
+
+
+def _block_column(kind: str, rng) -> np.ndarray:
+    """A ``PROFILE_BLOCK``-row column of one kind."""
+    rows = cli.PROFILE_BLOCK
+    mantissa = rng.uniform(1.0, 10.0, rows)
+    if kind == "zero-crossing":  # a monotone grid through an exact 0, as in a profile's middle block
+        return np.arange(-rows // 2, rows // 2) * 4.9e-9
+    if kind == "negative":
+        return -mantissa * 10.0 ** rng.integers(-99, 99, rows)
+    if kind == "three-digit":
+        return mantissa * 10.0 ** (rng.choice([-1, 1], rows) * rng.integers(100, 300, rows))
+    if kind == "mixed-exponent":  # two- and three-digit exponents in one column
+        return mantissa * 10.0 ** rng.integers(-120, -80, rows)
+    column = mantissa * 1e-7  # one sign, two-digit exponents: then one number of another kind
+    special = {"nan": np.nan, "inf": -np.inf, "tie": _ties()[0], "-0.0": -0.0, "negative-tie": -_ties()[-1]}
+    if kind == "negative-tie":
+        column = -column
+    column[rng.integers(rows)] = special[kind]
+    return column
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize(
+    "kind", ["zero-crossing", "negative", "three-digit", "mixed-exponent", "nan", "inf", "tie", "-0.0", "negative-tie"]
+)
+def test_csv_block_is_percent_formatting_on_profile_blocks(kind, width):
+    # every other column is plain (positive, two-digit exponents), so slots of both widths meet
+    rng = np.random.default_rng(width)
+    plain = rng.uniform(0.0, 1.0, cli.PROFILE_BLOCK)
+    columns = [_block_column(kind, rng) if c % 2 == 0 else plain for c in range(width)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csv_block(*columns) == _rowwise(columns)
+
+
+@pytest.mark.parametrize("grid", ["one-sign", "zero-crossing"])
+def test_profile_block_memory_budget(grid):
+    # one PROFILE_BLOCK x 3 call, the size profile_csv makes: the budget in the PROFILE_BLOCK comment,
+    # for a block written in place and for one that is compacted (its grid crosses 0)
+    rng = np.random.default_rng(12)
+    x = np.arange(-cli.PROFILE_BLOCK // 2, cli.PROFILE_BLOCK // 2) * 4.9e-9
+    columns = (x + 2.1e-5 if grid == "one-sign" else x, rng.uniform(0.0, 1.0, x.size), rng.uniform(0.0, 1.0, x.size))
+    csv_block(*columns)
+    tracemalloc.start()
+    try:
+        csv_block(*columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_csv_block_is_percent_formatting_on_edge_values():
     values = _edge_values()
     columns = values[: values.size // 3 * 3].reshape(-1, 3).T
@@ -154,3 +235,16 @@ def test_a_tie_bound_at_one_half_sends_every_number_to_percent(percent, monkeypa
         warnings.simplefilter("error")
         assert csv_block(*columns) == _rowwise(columns)
     assert percent.calls == columns.size
+
+
+def test_percent_text_sizes_its_slot(monkeypatch):
+    # with every number sent to %, and % writing a sign and a third exponent digit that the number lacks,
+    # each column's slots take their width from that text, not from the numbers' sign bits and decades
+    class Moved(str):
+        def __mod__(self, value):
+            return str.__mod__(self, -value * 1e100)
+
+    monkeypatch.setattr(cli, "_FMT", Moved(cli._FMT))
+    monkeypatch.setattr(cli, "_TIE_BOUND", 0.5)
+    x = np.random.default_rng(3).uniform(1.0, 2.0, 50)
+    assert csv_block(x, -x) == _rowwise([-x * 1e100, x * 1e100])
