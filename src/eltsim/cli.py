@@ -29,12 +29,12 @@ before it were written. CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
 ``csv_block`` makes each block's text in numpy, byte for byte the text of
 ``"%.16e" % x``, from a double-double scaling in float64 alone that is the
-same on every platform. It hands to Python's ``%`` only nan, inf and the
-numbers whose fraction lies within ``_TIE_BOUND`` (5e-15) of 1/2, which in
-practice are the exact ties alone. It writes the text straight into its
-final bytes, each column in slots of one width; only a block in which some
-number leaves part of its slot unused (a column of both signs or of two- and
-three-digit exponents, nan, inf) is compacted after.
+same on every platform. A block that holds nan, inf or a number whose
+fraction lies within ``_TIE_BOUND`` (5e-15) of 1/2 (in practice an exact tie
+alone) is Python's ``%`` text whole, row by row. Every other block is
+written straight into its final bytes, each column in slots of one width;
+only a block in which some number leaves part of its slot unused (a column
+of both signs or of two- and three-digit exponents) is compacted after.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 """
 
@@ -82,7 +82,7 @@ PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 M
 # ulp(p) / 2 <= 8 as p <= 1e17 < 2**57, so |t| < 32 and rounding the sum adds at most 2**-49 = 1.8e-15.
 # With the fraction's u that is 4.1e-15, and _TIE_BOUND = 5e-15. Only where the fraction lies that
 # close to 1/2 (in practice only at an exact tie, which must round half to even) is the nearest
-# integer unsettled; Python's % formats x there, and nan and inf.
+# integer unsettled; Python's % then formats the whole block, as it does one holding nan or inf.
 
 _E_MIN, _E_MAX = -324, 308  # the decades of 5e-324 and of the largest double; each table's row E - _E_MIN serves E
 _TIE_BOUND = 5e-15
@@ -169,12 +169,11 @@ _EXPONENT4, _EXPONENT5 = _exponent_tables()
 
 # A block's text is laid out column-major in one (rows x row width) buffer. Each column has one slot width
 # for all its rows, "-d.dddddddddddddddde-ddd,": 23 bytes, plus a sign byte where some number of the column
-# has its sign bit set and a third exponent digit where some number has |E| >= 100 (a number Python's %
-# formats is sized by its own text). Each part of a column's slots (sign, "d.", 16 digits, exponent) is one
-# write for every row, through a strided view with one void item per row, and the separators of all
-# columns are one more. A number that leaves part of its slot unused (an unsigned number in a signed
-# column, a two-digit exponent in a three-digit column, % text such as "nan") leaves a 0 there, and only a
-# block that holds such a 0 is compacted.
+# has its sign bit set and a third exponent digit where some number has |E| >= 100. Each part of a
+# column's slots (sign, "d.", 16 digits, exponent) is one write for every row, through a strided view with
+# one void item per row, and the separators of all columns are one more. A number that leaves part of its
+# slot unused (an unsigned number in a signed column, a two-digit exponent in a three-digit column) leaves
+# a 0 there, and only a block that holds such a 0 is compacted.
 
 
 def _run(buf: np.ndarray, start: int, item) -> np.ndarray:
@@ -184,12 +183,13 @@ def _run(buf: np.ndarray, start: int, item) -> np.ndarray:
 
 def _digits(x: np.ndarray):
     """Per number of x, its ``_FMT`` text in parts: the table row E - _E_MIN of its decade E, its leading digit
-    and the point, and its 16 digits after the point, as 2- and 16-byte void items; and the indices of the
-    numbers that Python's % formats."""
+    and the point, and its 16 digits after the point, as 2- and 16-byte void items; or None where x holds nan,
+    inf or a number whose fraction lies within ``_TIE_BOUND`` of 1/2, which Python's % formats instead."""
     a = np.abs(x)
+    if not np.isfinite(a).all():
+        return None
     zero = a == 0
-    special = ~np.isfinite(a)
-    a[zero | special] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits, the others get % text
+    a[zero] = 1.0  # y = 1e16 at E = 0: a zero then gets 0 digits
     row = np.floor(np.log10(a)).astype(np.int64) - _E_MIN
     n, frac = _scaled(a, row)
     # log10 rounded across a power of ten; judged on n, so on p + t: a p of 1e16 with t < 0 lies below
@@ -199,7 +199,8 @@ def _digits(x: np.ndarray):
         n[off], frac[off] = _scaled(a[off], row[off])
     frac -= 0.5  # the fraction's distance above 1/2: n rounds up where it is positive
     n += frac > 0
-    by_percent = np.flatnonzero(special | (np.abs(frac, out=frac) <= _TIE_BOUND))
+    if (np.abs(frac, out=frac) <= _TIE_BOUND).any():
+        return None
     carry = n == 10**17  # rounded up into the next decade
     n[carry] = 10**16
     row += carry
@@ -213,7 +214,7 @@ def _digits(x: np.ndarray):
     for j, part in ((0, hi), (2, lo)):
         quads[:, j] = part // 10**4
         quads[:, j + 1] = part - quads[:, j] * 10**4
-    return row, _LEAD.take(lead), _DIGITS4.take(quads).view("V16").ravel(), by_percent
+    return row, _LEAD.take(lead), _DIGITS4.take(quads).view("V16").ravel()
 
 
 def csv_block(*columns) -> str:
@@ -223,16 +224,12 @@ def csv_block(*columns) -> str:
     width, rows = x.shape
     if not rows:
         return ""  # an empty buffer holds no strided view
-    x = x.ravel()
-    row, lead, digits, by_percent = _digits(x)
+    parts = _digits(x.ravel())
+    if parts is None:  # a number the layout cannot settle: the whole block is Python's % text
+        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist())
+    row, lead, digits = (part.reshape(width, rows) for part in parts)
     negative = np.signbit(x)
     long = np.abs(row + _E_MIN) >= 100  # a three-digit exponent
-    texts = [_FMT % v for v in x[by_percent].tolist()]
-    if texts:  # sized by their own text, where nan has no sign
-        negative[by_percent] = [text[0] == "-" for text in texts]
-        long[by_percent] = [len(text) == 23 + (text[0] == "-") for text in texts]
-    negative, long = negative.reshape(width, rows), long.reshape(width, rows)
-    row, lead, digits = row.reshape(width, rows), lead.reshape(width, rows), digits.reshape(width, rows)
     signed, wide = negative.any(axis=1).tolist(), long.any(axis=1).tolist()
     slot = [23 + sign + three for sign, three in zip(signed, wide)]  # bytes per number, separator included
     start = [0, *itertools.accumulate(slot)]
@@ -246,16 +243,7 @@ def csv_block(*columns) -> str:
         exponent = (_EXPONENT5 if three else _EXPONENT4).take(row[c])
         _run(buf, at + 18, exponent.dtype)[:] = exponent
     buf[:, np.subtract(start[1:], 1)] = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)  # the separators
-    if texts:  # each over its slot but the separator, padded with 0: one write per column
-        percent = np.searchsorted(by_percent, np.arange(width + 1) * rows).tolist()  # texts[percent[c]:percent[c + 1]]
-        for c, size in enumerate(slot):
-            mine = slice(percent[c], percent[c + 1])
-            if texts[mine]:
-                padded = "".join([text.ljust(size - 1, "\0") for text in texts[mine]]).encode("ascii")
-                lines = by_percent[mine] - c * rows
-                buf[lines, start[c] : start[c + 1] - 1] = np.frombuffer(padded, np.uint8).reshape(-1, size - 1)
-    filled = negative.all(axis=1).tolist() == signed and long.all(axis=1).tolist() == wide  # each column uniform
-    if not filled or min(map(len, texts), default=22) < 22:  # nan and inf fill no slot
+    if negative.all(axis=1).tolist() != signed or long.all(axis=1).tolist() != wide:  # a slot left a 0 byte
         buf = buf[buf != 0]
     return str(buf.data, "ascii")
 
@@ -445,7 +433,7 @@ def cmd_sweep(args, config: PhysicsConfig):
     if not (lo > 0 and hi >= lo):
         raise ConfigError("sweep range must satisfy 0 < min <= max")
     if args.steps < 1:
-        raise ConfigError("sweep needs at least one step")
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     values = np.linspace(lo, hi, args.steps)
     swept = dataclasses.replace(config, **{args.parameter: values})
     _warn(swept)  # derives every value first: a value out of range is named before any row is made

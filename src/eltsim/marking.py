@@ -81,9 +81,6 @@ class CompositeState:
     def amplitude(self, label: BasisLabel) -> complex:
         return self.terms.get(label, 0.0 + 0.0j)
 
-    def paths(self) -> set[str]:
-        return {label.path for label in self.terms}
-
 
 def post_slit_state(config: PhysicsConfig) -> CompositeState:
     """Composite state at the screen just before detection.

@@ -215,6 +215,17 @@ def test_grid_points_below_one_are_named(config_path, tmp_path, capsys, edges, p
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("edges", [["1e-6", "1e-6"], ["1e-6", "-1e-6"]], ids=["equal", "reversed"])
+def test_grid_edges_out_of_order_are_refused(config_path, tmp_path, capsys, edges, out):
+    target = ["--out", str(tmp_path / "out.csv")] if out else []
+    argv = ["intensity", "--config", config_path, "--grid-min", edges[0], "--grid-max", edges[1], *target]
+    assert main([*argv, "--grid-points", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "--grid-max must exceed --grid-min" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG_TEXT + "unknown_key = 1\n")
@@ -471,6 +482,17 @@ def test_sweep_rejects_non_finite_range_end(config_path, tmp_path, capsys, end):
     err = capsys.readouterr().err
     assert "--range" in err and "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_sweep_steps_below_one_are_named(config_path, tmp_path, capsys, steps, out):
+    target = ["--out", str(tmp_path / "sweep.csv")] if out else []
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "1e-7", "2e-7", "--steps", steps]
+    assert main([*argv, *target]) == 2
+    captured = capsys.readouterr()
+    assert f"--steps must be at least 1, got {steps}" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(

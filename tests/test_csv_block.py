@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from pathlib import Path
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eltsim import cli
+from eltsim import cli, params
 from eltsim.cli import csv_block
+
+RUBIDIUM = str(Path(__file__).resolve().parents[1] / "configs" / "rubidium.cfg")
 
 
 def _rowwise(columns) -> str:
@@ -248,3 +251,32 @@ def test_percent_text_sizes_its_slot(monkeypatch):
     monkeypatch.setattr(cli, "_TIE_BOUND", 0.5)
     x = np.random.default_rng(3).uniform(1.0, 2.0, 50)
     assert csv_block(x, -x) == _rowwise([-x * 1e100, x * 1e100])
+
+
+@pytest.mark.parametrize("kind", ["tie", "nan"])
+def test_a_block_the_layout_cannot_settle_is_percent_text_whole(percent, kind):
+    # one unsettled number sends every number of its block to %, row by row
+    columns = np.random.default_rng(19).uniform(0.0, 1.0, (3, cli.PROFILE_BLOCK))
+    columns[1, 1234] = _ties()[7] if kind == "tie" else np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csv_block(*columns) == _rowwise(columns)
+    assert percent.calls == columns.size == 12288
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["peak", "raw"])
+@pytest.mark.parametrize("branch", cli.BRANCHES)
+def test_rubidium_profiles_take_no_percent(percent, capsys, branch, raw):
+    argv = ["intensity", "--config", RUBIDIUM, "--branch", branch, "--grid-points", "20001"]
+    assert cli.main(argv + (["--raw"] if raw else [])) == 0
+    assert capsys.readouterr().out.count("\n") == 20002
+    assert percent.calls == 0
+
+
+@pytest.mark.parametrize("parameter", cli.SWEEP_PARAMETERS)
+def test_rubidium_sweeps_take_no_percent(percent, capsys, parameter):
+    value = getattr(params.load_config(RUBIDIUM), parameter)
+    span = [repr(value / 10**0.5), repr(value * 10**0.5)]
+    assert cli.main(["sweep", "--config", RUBIDIUM, "--parameter", parameter, "--range", *span, "--steps", "2000"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2001
+    assert percent.calls == 0
