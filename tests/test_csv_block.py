@@ -2,10 +2,10 @@
 
 import struct
 import tracemalloc
-from pathlib import Path
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +171,20 @@ def test_csv_block_is_percent_formatting_on_edge_values():
     values = _edge_values()
     columns = values[: values.size // 3 * 3].reshape(-1, 3).T
     assert csv_block(*columns) == _rowwise(columns)
+
+
+def test_fast_layout_on_edge_values(percent):
+    # the edge values less nan, inf and every number whose 18th-21st significant digits round to 5000 (the
+    # ties, and anything within 5e-5 of one): one block the fast layout settles whole, so the decade
+    # re-scale, the carry into the next decade, subnormals and three-digit exponents are its own bytes
+    values = _edge_values()
+    settled = np.array([v for v in values[np.isfinite(values)].tolist() if ("%.20e" % abs(v))[18:22] != "5000"])
+    columns = settled[: settled.size // 3 * 3].reshape(-1, 3).T
+    expected = _rowwise(columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csv_block(*columns) == expected
+    assert percent.calls == 0
 
 
 def _nearest(value: Fraction, double: float) -> bool:
