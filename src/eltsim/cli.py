@@ -13,7 +13,9 @@ writes the blocks as they arrive to stdout, or with ``--out`` to
 complete, after refusing a target that is a directory: a failing command
 leaves no new file (a file already at a staging name is overwritten, then
 removed). ``verify`` solves once,
-every other command only with ``--out``. ``intensity`` and ``sweep`` read
+every other command only with ``--out``; its report renders its own verdict
+and worst-offender line, and only ``verify`` imports the verification layers
+and the quadrature oracle. ``intensity`` and ``sweep`` read
 the propagator chain, so they accept a nonzero ``eta``. ``sweep`` reads
 every swept value off one array chain and builds no profile:
 ``intensity.aggregate_visibility`` scores ``SWEEP_CHUNK`` configurations at a
@@ -22,8 +24,11 @@ The chunk only spreads the fixed cost of a block's numpy calls: no row and no
 byte of the output depends on its size.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
-verification failure, 4 I/O error. A flag's negative value may follow it
-after a space, exponent and all: ``--grid-min -1e-6`` is ``--grid-min=-1e-6``.
+verification failure, 4 I/O error. The parser owns the choices: an unknown
+branch, measurement or sweep parameter is argparse's exit 2 with its usage
+text, and ``--config`` and ``--out`` are declared once, for every
+subcommand. A flag's negative value may follow it after a space, exponent
+and all: ``--grid-min -1e-6`` is ``--grid-min=-1e-6``.
 On stdout, a sweep chunk whose visibility fails exits 2 after the blocks
 before it were written. CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
@@ -53,7 +58,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, closedform, intensity, marking, verification
+from . import __version__, closedform, intensity, marking
 from .params import ConfigError, PhysicsConfig, config_as_dict, derive, load_config, swept_rows, validate_regime
 
 EXIT_OK = 0
@@ -359,6 +364,8 @@ def cmd_intensity(args, config: PhysicsConfig):
 
 
 def cmd_verify(args, config: PhysicsConfig):
+    from . import verification  # only verify loads it and the quadrature oracle
+
     if args.points < 1:
         raise ConfigError(f"--points needs at least one point, got {args.points}")
     _warn(config)
@@ -369,16 +376,9 @@ def cmd_verify(args, config: PhysicsConfig):
         quadrature=not args.skip_quadrature,
         corrupt=args.corrupt_z,
     )
-    text = report.render() + "\n"
-    worst = report.worst()
-    if worst is not None:
-        text += f"worst offender: {worst.name} (deviation {worst.deviation:.3e})"
-        if worst.detail:
-            text += f", {worst.detail}"
-        text += "\n"
     code = EXIT_OK if report.passed else EXIT_VERIFY
     extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "passed": report.passed}
-    return code, [text], solution, extra
+    return code, [report.render() + "\n"], solution, extra
 
 
 def _prob(p: float) -> str:
@@ -406,15 +406,13 @@ def cmd_states(args, config: PhysicsConfig):
         "bell": ("joint cavity measurement (Bell basis):", marking.measure_bell_cavities),
         "internal": ("atomic-level measurement:", marking.measure_internal),
     }
-    if args.measurement in measurements:
+    if args.measurement != "none":
         title, measure = measurements[args.measurement]
         lines.append(title)
         for br in measure(state):
             lines.append(f" branch {br.name}: probability {_prob(br.probability)}")
             if br.state is not None:
                 lines += _state_table(br.state)
-    elif args.measurement != "none":
-        raise ConfigError(f"unknown measurement {args.measurement!r}")
 
     density = marking.reduce_center_of_mass(state)
     paths, mat = density.matrix()
@@ -425,8 +423,6 @@ def cmd_states(args, config: PhysicsConfig):
 
 
 def cmd_sweep(args, config: PhysicsConfig):
-    if args.parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {args.parameter!r}")
     lo, hi = args.range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"--range ends must be finite numbers, got {lo!r} {hi!r}")
@@ -472,13 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"eltsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    common.add_argument("--config", required=True, help="key=value configuration file")
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    def common(p):
-        p.add_argument("--config", required=True, help="key=value configuration file")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    p_int = sub.add_parser("intensity", help="emit a screen intensity profile as CSV")
-    common(p_int)
+    p_int = sub.add_parser("intensity", help="emit a screen intensity profile as CSV", parents=[common])
     p_int.add_argument("--branch", choices=BRANCHES, default="elt")
     p_int.add_argument("--grid-min", type=float, default=None, help="left grid edge, m")
     p_int.add_argument("--grid-max", type=float, default=None, help="right grid edge, m")
@@ -486,20 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--raw", action="store_true", help="raw density instead of peak normalization")
     p_int.set_defaults(func=cmd_intensity)
 
-    p_ver = sub.add_parser("verify", help="cross-check closed forms against the chain and quadrature")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", help="cross-check closed forms against the chain and quadrature", parents=[common])
     p_ver.add_argument("--points", type=int, default=101)
     p_ver.add_argument("--skip-quadrature", action="store_true", help="skip the slow 2-D quadrature check")
     p_ver.add_argument("--corrupt-z", default=None, metavar="NAME", help="fault injection: corrupt one z-table entry (test mode)")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_st = sub.add_parser("states", help="report measurement branches and reduced densities")
-    common(p_st)
+    p_st = sub.add_parser("states", help="report measurement branches and reduced densities", parents=[common])
     p_st.add_argument("--measurement", choices=MEASUREMENTS, default="none")
     p_st.set_defaults(func=cmd_states)
 
-    p_sw = sub.add_parser("sweep", help="sweep one parameter and emit fringe metrics as CSV")
-    common(p_sw)
+    p_sw = sub.add_parser("sweep", help="sweep one parameter and emit fringe metrics as CSV", parents=[common])
     p_sw.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p_sw.add_argument("--range", type=float, nargs=2, required=True, metavar=("MIN", "MAX"))
     p_sw.add_argument("--steps", type=int, default=10)

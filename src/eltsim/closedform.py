@@ -199,12 +199,16 @@ def constant_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: Deriv
     }
 
 
+@np.errstate(all="ignore")
 def expanded_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> dict[str, complex]:
     """The same terms as the two functions above, written out in
-    real-arithmetic components of the z-table (transcription cross-check)."""
-    m, hbar = config.mass, config.hbar
-    tau, eps = config.tau, derived.epsilon
-    d, beta = config.d, config.beta
+    real-arithmetic components of the z-table (transcription cross-check).
+    In numpy doubles, as ``build_coefficients`` takes m^3 and hbar^3: a term
+    that leaves the float range is inf or nan and fails its check by name,
+    where a Python float ** or / would raise."""
+    m, hbar = np.float64(config.mass), np.float64(config.hbar)
+    tau, eps = np.float64(config.tau), np.float64(derived.epsilon)
+    d, beta = np.float64(config.d), np.float64(config.beta)
 
     def sq(z: complex) -> float:
         return z.real * z.real + z.imag * z.imag

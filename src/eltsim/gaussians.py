@@ -1,10 +1,13 @@
 """Complex-Gaussian wavefunction algebra and the propagator/slit chain engine.
 
 Every intermediate state of the interferometer is an unnormalized complex
-Gaussian ``prefactor * exp(-a x^2 + b x + c)`` with Re(a) > 0. Free
-propagation and Gaussian slit transmission map such forms to such forms via
-the identity  integral exp(-A y^2 + B y) dy = sqrt(pi/A) exp(B^2/4A)  for
-Re(A) > 0 (principal-branch square roots throughout). The chain is exact;
+Gaussian ``prefactor * exp(-a x^2 + b x + c)`` with Re(a) > 0. In doubles,
+Re(a) of a packet in a long flight may underflow to 0 until a slit restores
+it, so a step carries Re(a) >= 0 and only a chain's result must have
+Re(a) > 0. Free propagation and Gaussian slit transmission map such forms
+to such forms via the identity  integral exp(-A y^2 + B y) dy =
+sqrt(pi/A) exp(B^2/4A)  for Re(A) > 0 (principal-branch square roots
+throughout). The chain is exact;
 every path amplitude and looped-path coefficient on the hot path comes from
 it, and verification checks the closed form of :mod:`eltsim.closedform`
 against it. Forms and chains broadcast: over a configuration whose swept
@@ -51,8 +54,9 @@ class GaussianForm:
     def __post_init__(self):
         values = vars(self).values()
         # a batch is checked once, by the chain that built it, which can name the configuration that fails;
-        # one configuration checks itself in Python scalar arithmetic and, when it fails, raises as a batch would
-        if np.ndarray not in set(map(type, values)) and not (all(map(cmath.isfinite, values)) and self.a.real > 0):
+        # one configuration checks in Python scalar arithmetic what a step can carry (finite, Re(a) >= 0) and,
+        # when that fails, raises as a batch would; a chain's result is checked by normalizable(), as a batch
+        if np.ndarray not in set(map(type, values)) and not (all(map(cmath.isfinite, values)) and self.a.real >= 0):
             self.normalizable()
 
     def normalizable(self, config: PhysicsConfig | None = None) -> GaussianForm:
@@ -115,7 +119,7 @@ def _integrate_quadratic(form: GaussianForm, kappa: float, constant: complex = 1
     caller supplies the propagator constant that belongs to the kernel.
     """
     half = 0.5j * kappa
-    big_a = form.a - half  # Re(A) = Re(a) > 0
+    big_a = form.a - half  # Re(A) = Re(a) >= 0
     four_a = 4.0 * big_a
     return GaussianForm(
         a=kappa * kappa / four_a - half,

@@ -242,10 +242,9 @@ def parse_config_text(text: str) -> PhysicsConfig:
     for key, attr in _CONFIG_KEYS.items():
         if attr is not None and key in raw:
             kwargs[attr] = raw[key]
-    if "amp_exotic_re" in raw or "amp_exotic_im" in raw:
-        kwargs["amp_exotic"] = complex(raw.get("amp_exotic_re", 0.0), raw.get("amp_exotic_im", 0.0))
-    if "amp_nonexotic_re" in raw or "amp_nonexotic_im" in raw:
-        kwargs["amp_nonexotic"] = complex(raw.get("amp_nonexotic_re", 0.0), raw.get("amp_nonexotic_im", 0.0))
+    for name in _AMPLITUDES:
+        if f"{name}_re" in raw or f"{name}_im" in raw:
+            kwargs[name] = complex(raw.get(f"{name}_re", 0.0), raw.get(f"{name}_im", 0.0))
     return PhysicsConfig(**kwargs)
 
 

@@ -66,6 +66,10 @@ class VerificationReport:
             detail = f"  {r.detail}" if r.detail else ""
             lines.append(f"[{status}] {r.name}: deviation {r.deviation:.3e} (tol {r.tolerance:.1e}){detail}")
         lines.append("verification " + ("PASSED" if self.passed else "FAILED"))
+        worst = self.worst()
+        if worst is not None:
+            detail = f", {worst.detail}" if worst.detail else ""
+            lines.append(f"worst offender: {worst.name} (deviation {worst.deviation:.3e}){detail}")
         return "\n".join(lines)
 
 
@@ -93,11 +97,7 @@ def ztable_consistency(solution: closedform.Solution, corrupt: str | None = None
     if corrupt_name is not None and corrupt_name not in expanded:
         raise ValueError(f"unknown z-table entry {corrupt_name!r}")
 
-    direct = {
-        "z4": zt.z4, "z5": zt.z5, "z6": zt.z6, "z7": zt.z7,
-        "z8": zt.z8, "z9": zt.z9, "z10": zt.z10,
-        "gouy_zr": complex(zt.gouy_zr, 0.0), "gouy_zi": complex(zt.gouy_zi, 0.0),
-    }
+    direct = {name: complex(getattr(zt, name)) for name in expanded}
     report = VerificationReport()
     for name, value in expanded.items():
         if name == corrupt_name:

@@ -147,6 +147,13 @@ def test_erasure_recovers_twice_the_ground_branch(overrides):
     np.testing.assert_allclose(raw["fringes"] + raw["antifringes"], 2.0 * raw["ground"], rtol=1e-12, atol=0)
 
 
+def test_branch_profile_refuses_an_unknown_branch():
+    # a library call takes any string; the command line refuses it before, by its choices
+    config = params.rubidium_config()
+    with pytest.raises(params.ConfigError, match="unknown branch 'bogus'"):
+        branch_profile("bogus", np.zeros(1), config, closedform.solve(config).coeffs, "raw")
+
+
 def test_csv_numbers_are_exact_scientific_text():
     values = np.array([-0.0, 5e-324, 1e300])
     profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, "hand", "raw", visibility=values)

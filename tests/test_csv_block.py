@@ -254,9 +254,9 @@ def test_a_tie_bound_at_one_half_sends_every_number_to_percent(percent, monkeypa
     assert percent.calls == columns.size
 
 
-def test_percent_text_sizes_its_slot(monkeypatch):
-    # with every number sent to %, and % writing a sign and a third exponent digit that the number lacks,
-    # each column's slots take their width from that text, not from the numbers' sign bits and decades
+def test_a_block_whose_numbers_all_go_to_percent_is_percent_text_whole(monkeypatch):
+    # with every number sent to %, the block is Python's % text whole, row by row: a % that writes a sign
+    # and a third exponent digit the number lacks shows in every field, with no byte of the fast layout
     class Moved(str):
         def __mod__(self, value):
             return str.__mod__(self, -value * 1e100)

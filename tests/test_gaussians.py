@@ -118,6 +118,12 @@ def test_degenerate_form_rejected():
         GaussianForm(a=-1.0 + 0j)
 
 
+def test_a_step_may_carry_a_vanishing_real_part_but_a_result_may_not():
+    form = GaussianForm(a=0.0 - 1e-30j)  # a packet whose Re a underflowed in flight
+    with pytest.raises(DegenerateChainError):
+        form.normalizable()
+
+
 def test_nonexotic_mirror_symmetry(config):
     grid = np.linspace(-2e-6, 2e-6, 41)
     psi1 = chain_nonexotic(1, config).evaluate(grid)

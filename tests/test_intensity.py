@@ -269,3 +269,26 @@ def test_lattice_visibility_ignores_the_last_bit_of_gamma(tau):
     for gamma in (np.nextafter(coeffs.gamma, -np.inf), coeffs.gamma, np.nextafter(coeffs.gamma, np.inf)):
         results.append(intensity.aggregate_visibility(dataclasses.replace(coeffs, gamma=float(gamma)), config))
     assert results == pytest.approx([results[1]] * 3, rel=1e-12, abs=0)
+
+
+def test_a_profile_on_an_empty_grid_is_refused():
+    with pytest.raises(ProfileError, match="empty grid"):
+        IntensityProfile(np.array([]), np.array([]), "x", "raw")
+
+
+def test_a_profile_of_an_unknown_object_is_refused(config, grid):
+    with pytest.raises(ProfileError, match="cannot build a profile from object"):
+        branch_intensity(object(), grid, config)
+
+
+def test_a_vanishing_gamma_has_no_fringe_scale(coeffs):
+    flat = dataclasses.replace(coeffs, gamma=0.0)
+    with pytest.raises(ProfileError, match="no fringe scale"):
+        default_grid(flat)
+    with pytest.raises(ProfileError, match="infinitely wide"):
+        fringe_spacing(flat)
+
+
+def test_a_grid_needs_a_point(coeffs):
+    with pytest.raises(ProfileError, match="at least one point"):
+        default_grid(coeffs, points=0)

@@ -5,6 +5,7 @@ import pytest
 
 from eltsim.marking import (
     BasisLabel,
+    CenterOfMassDensity,
     CompositeState,
     StateError,
     bell_project,
@@ -218,3 +219,27 @@ def test_label_validation():
 def test_norm_enforced():
     with pytest.raises(StateError):
         CompositeState({BasisLabel("1", "g", "10"): 0.5 + 0j})
+
+
+def test_a_state_without_terms_is_refused():
+    with pytest.raises(StateError, match="no nonzero amplitudes"):
+        CompositeState({})
+
+
+def test_the_zero_vector_cannot_be_normalized():
+    with pytest.raises(StateError, match="cannot normalize the zero vector"):
+        CompositeState.from_unnormalized({BasisLabel("1", "g", "10"): 0j, BasisLabel("2", "g", "01"): 0j})
+
+
+def test_bell_projection_refuses_an_erased_cavity_label():
+    inv = 1.0 / math.sqrt(2.0)
+    plus, _ = eraser_basis_single_detector(
+        CompositeState({BasisLabel("1", "g", "10"): inv, BasisLabel("2", "g", "01"): inv})
+    )
+    with pytest.raises(StateError, match="cavity label '\\+' is not Fock or Bell"):
+        bell_project(plus.collapsed(), "phi+")
+
+
+def test_a_non_hermitian_density_is_refused():
+    with pytest.raises(StateError, match="not Hermitian"):
+        CenterOfMassDensity({("1", "2"): 0.5j, ("2", "1"): 0.5j})

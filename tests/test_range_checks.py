@@ -1,4 +1,5 @@
-"""Divisors that under- or overflow are named before any arithmetic; sweep warns on its swept values."""
+"""Divisors that under- or overflow are named before any arithmetic; sweep warns on its swept values;
+verify gives a verdict, and every command the same one, at the edges of the float range."""
 
 import json
 import warnings
@@ -108,3 +109,67 @@ def test_intensity_manifest_records_clamped_points(tmp_path, overrides, argv, cl
     assert manifest["clamped_points"] == clamped
     if clamped:
         assert min(float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]) == 0.0
+
+
+# the decades (every 4th) at which the expanded coefficient terms raised from a Python float ** or /
+_FORMERLY_RAISING = {
+    "mass_kg": [*range(-104, -59, 4), *range(60, 97, 4)],
+    "hbar_Js": [*range(-104, -75, 4), *range(44, 101, 4)],
+    "sigma0_m": list(range(76, 149, 4)),
+    "d_m": list(range(76, 137, 4)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FORMERLY_RAISING))
+def test_verify_gives_a_verdict_where_a_term_leaves_the_float_range(tmp_path, capsys, key):
+    # beta is left out: from 1e72 m on, the chain evaluation still warns
+    for decade in _FORMERLY_RAISING[key]:
+        config = _config(tmp_path, **{key: f"1e{decade}"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", str(config), "--skip-quadrature"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert "verification PASSED\n" in captured.out
+        else:
+            assert code == 3, (key, decade, captured.err)
+            assert "verification FAILED\nworst offender: " in captured.out
+
+
+@pytest.mark.parametrize(
+    "key, value, worst",
+    [
+        ("mass_kg", "1e-80", "term/const_z5 (deviation nan)"),
+        ("mass_kg", "1e80", "term/linear_z6 (deviation nan)"),
+        ("hbar_Js", "1e-80", "term/const_z5 (deviation inf)"),
+        ("hbar_Js", "1e60", "term/const_z5 (deviation inf)"),
+        ("d_m", "1e100", "closed-vs-chain/loop12 (deviation nan)"),
+        ("sigma0_m", "1e100", None),
+    ],
+)
+def test_a_term_out_of_the_float_range_fails_by_name(tmp_path, capsys, key, value, worst):
+    code = main(["verify", "--config", str(_config(tmp_path, **{key: value})), "--skip-quadrature"])
+    out = capsys.readouterr().out
+    if worst is None:
+        assert code == 0 and out.endswith("verification PASSED\n")
+    else:
+        assert code == 3 and f"\nworst offender: {worst}" in out
+
+
+@pytest.mark.parametrize("t", ["1e170", "1e250"])
+def test_a_long_first_flight_gets_one_verdict_from_every_command(tmp_path, capsys, t):
+    # Re a of the packet underflows to 0 in flight and the slit restores it: every command takes the chain's result
+    config = str(_config(tmp_path, t_s=t))
+    commands = [
+        ["intensity", "--grid-points", "11"],
+        ["intensity", "--branch", "full", "--grid-points", "11"],
+        ["verify"],
+        ["sweep", "--parameter", "t", "--range", t, t, "--steps", "1"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main([argv[0], "--config", config, *argv[1:]]) for argv in commands]
+    captured = capsys.readouterr()
+    assert codes == [0, 0, 0, 0], captured.err
+    assert "verification PASSED\n" in captured.out

@@ -121,6 +121,16 @@ def test_cli_import_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_the_verification_modules():
+    # only verify needs the cross-checks and the quadrature oracle; it imports them when it runs
+    src = os.path.dirname(os.path.dirname(eltsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import eltsim.cli, sys; print([m for m in ('eltsim.verification', 'eltsim.oracle') if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_every_command_runs_without_scipy(config_path):
     # scipy is a test extra only: with its import blocked, every subcommand still exits 0
     src = os.path.dirname(os.path.dirname(eltsim.__file__))
