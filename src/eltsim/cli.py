@@ -328,18 +328,16 @@ def write_manifest(path, solution: closedform.Solution, command: str, extra: dic
 
 
 def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.EltCoefficients, normalization: str):
-    """Screen profile for one named branch of the marked interferometer (``elt`` reads ``coeffs``)."""
-    if branch == "elt":
-        return intensity.elt_intensity(grid, coeffs, normalization)
+    """Screen profile for one named branch; ``coeffs`` are the loop chain's. ``elt`` is both loops with unit
+    weights; ``ground`` is the post-slit state's level g, and erasing its cavity marks gives the two patterns."""
     if branch not in BRANCHES:
         raise ConfigError(f"unknown branch {branch!r}")
-    full = marking.post_slit_state(config)
-    ground, _ = marking.measure_internal(full)
-    states = {"full": full, "ground": ground}
-    if branch in ("fringes", "antifringes"):
-        # the straight paths are the ground branch; erasing their cavity marks gives the two patterns
-        states["fringes"], states["antifringes"] = marking.eraser_basis_single_detector(ground.collapsed())
-    return intensity.branch_intensity(states[branch], grid, config, normalization, label=branch)
+    state = intensity.LOOPS_ONLY if branch == "elt" else marking.post_slit_state(config)
+    if branch not in ("elt", "full"):
+        state, _ = marking.measure_internal(state)
+        if branch != "ground":
+            state = marking.eraser_basis_single_detector(state.collapsed())[branch == "antifringes"]
+    return intensity.branch_intensity(state, grid, config, normalization, coeffs, label=branch)
 
 
 def profile_csv(profile: intensity.IntensityProfile):
@@ -359,7 +357,7 @@ def cmd_intensity(args, config: PhysicsConfig):
     grid = _grid(args, coeffs)
     normalization = "raw" if args.raw else "peak"
     profile = branch_profile(args.branch, grid, config, coeffs, normalization)
-    extra = {"branch": args.branch, "normalization": normalization, "clamped_points": profile.clamped_points}
+    extra = {"branch": args.branch, "normalization": normalization}
     return EXIT_OK, profile_csv(profile), solution, extra
 
 

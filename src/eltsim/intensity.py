@@ -1,18 +1,20 @@
 """Screen-plane observables: intensity profiles and visibility.
 
-A branch's screen profile is <x|rho|x> assembled from the path weight matrix
-of the reduced center-of-mass state and the pointwise amplitudes of all four
-paths (1, 2, 12, 21). Two exact propagator chains of :mod:`eltsim.gaussians`
-give them: path 1 and loop 12. The slits sit at +/-d/2, so path 2 and loop 21
-are their mirrors, ψ2(x) = ψ1(-x) and ψ21(x) = ψ12(-x).
+Every profile is <x|rho|x> of a branch's reduced center-of-mass state, in one real-arithmetic
+form. Marking leaves no straight-loop coherence (``marking.post_slit_state``), so rho has two 2x2
+blocks, paths {1, 2} and loops {12, 21}, mirrors at the slits +/-d/2: ψ2(x) = ψ1(-x) and
+ψ21(x) = ψ12(-x). Each block's chain form P exp(-a x^2 + b x + c), ``gaussians.chain_nonexotic(1)``
+or ``chain_exotic("12")``, is read once into real coefficients: with u = 2(ln|P| + Re c - Re a x^2),
+v = 2 Re b x and gamma = Im b, |ψ(+/-x)|^2 = e^(u+/-v) and ψ(x) ψ(-x)* = e^u e^(2i gamma x). A
+profile sums one term per detector label of the collapsed state, amplitudes alpha on ψ(x) and beta
+on ψ(-x):
 
-The looped-paths-only profile ``elt_intensity`` is evaluated from the
-coefficients ``loop_coefficients`` reads off the loop-12 chain, in real
-arithmetic: with u = 2(C3 - C1 x^2) and v = 2 C2 x,
+    |alpha ψ(x) + beta ψ(-x)|^2 = e^E [(1 - q)^2 + 4 q cos^2(gamma x + phi/2)],
 
-    |ψ12 + ψ21|^2 = A^2 [exp(u + v) + exp(u - v) + 2 exp(u) cos(2 gamma x)],
-
-by that mirror. Each profile holds one configuration, on a 1-D grid.
+E = u + ln|alpha beta| + d, q = e^-d, d = |v + ln|alpha/beta||, phi = arg(alpha beta*). Each term
+is >= 0, so nothing is clamped; e^(i phi/2) is 1 or i where alpha beta* is real, so a fringe is
+cos^2(gamma x) and an antifringe sin^2(gamma x), exactly 0 on its node. ``elt`` is the loop block
+with unit weights. Each profile holds one configuration, on a 1-D grid.
 
 ``eltsim sweep`` reads no profile. ``aggregate_visibility`` scores a block
 of configurations on one shared fringe lattice, x = k h with
@@ -23,6 +25,9 @@ evaluated.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,8 @@ CENTRAL_FRINGES = 1.5  # half-width of the aggregate-visibility window, in fring
 # default_grid), and cos(2 gamma k h) = cos(pi k/40) on it, whatever the configuration
 _LATTICE_K = np.arange(CENTRAL_FRINGES * 80.0 + 1.0)
 _LATTICE_COS = np.cos(np.pi / 40.0 * _LATTICE_K)
+BLOCKS = (("1", "2"), ("12", "21"))  # each block's path at x and its mirror at -x: straight, then looped
+LOOPS_ONLY = marking.CenterOfMassDensity({(p, q): 1.0 for p in BLOCKS[1] for q in BLOCKS[1]})  # elt
 
 
 class ProfileError(ValueError):
@@ -49,7 +56,6 @@ class IntensityProfile:
     branch: str
     normalization: str
     visibility: np.ndarray | None = None  # pointwise fringe visibility in [0, 1]
-    clamped_points: int = 0  # points clipped up to 0 from tiny negative round-off
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -60,67 +66,107 @@ class IntensityProfile:
             raise ProfileError("grid must be strictly increasing")
 
 
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ProfileError("empty grid")
-    return grid
-
-
 def _significantly_negative(lo, hi):
     """Whether a minimum ``lo`` (maximum ``hi``) is below 0 by more than round-off: 1e-12 max(1, |lo|, |hi|)."""
     return lo < -1e-12 * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
 
 
-def _finalize(grid, values, branch, normalization, visibility=None) -> IntensityProfile:
-    """Clamp round-off negatives and normalize; a profile with no positive peak or area to normalize by raises."""
-    values = np.asarray(values, dtype=float)
-    negative = values < 0
-    clamped = int(np.count_nonzero(negative))
-    if clamped:
-        lo = values.min()
-        if _significantly_negative(lo, values.max()):
-            raise ProfileError(f"intensity significantly negative: min {lo:.3g}")
-        values = np.where(negative, 0.0, values)
+def _pairs(branch) -> tuple[list, list]:
+    """Per block, straight then looped, the pairs (alpha, beta) whose terms sum to the density of ``branch``: one
+    per detector label of a state; [[w11, w12], [w12*, w22]] of a density gives (sqrt(w11), w12*/sqrt(w11))
+    and (0, sqrt(w22 - |w12|^2/w11))."""
+    if isinstance(branch, marking.CompositeState):
+        labels: dict[tuple[str, str], dict[str, complex]] = {}
+        for label, amp in branch.terms.items():
+            labels.setdefault((label.level, label.cavities), {})[label.path] = amp
+        amps = list(labels.values())
+    elif isinstance(branch, marking.CenterOfMassDensity):
+        amps = [dict.fromkeys(pair) for pair in branch.weights if not any(set(pair) <= set(b) for b in BLOCKS)]
+        for p, q in BLOCKS:  # a pair of paths across the blocks is refused below
+            w11, w22, w12 = branch.weight(p, p).real, branch.weight(q, q).real, branch.weight(p, q)
+            rest = (w11 * w22 - abs(w12) ** 2) / w11 if w11 > 0 else w22
+            if w11 < 0 or rest < -1e-12 * abs(w22) or (w11 == 0 and w12):
+                raise ProfileError(f"density not positive semi-definite on paths {p}, {q}: {w11!r}, {w22!r}, {w12!r}")
+            if w11 > 0:
+                amps.append({p: math.sqrt(w11), q: w12.conjugate() / math.sqrt(w11)})
+            if rest > 0:
+                amps.append({q: math.sqrt(rest)})
+    else:
+        raise ProfileError(f"cannot build a profile from {type(branch).__name__}")
+    pairs = ([], [])
+    for paths in amps:
+        k = next((k for k, block in enumerate(BLOCKS) if paths.keys() <= set(block)), None)
+        if k is None:
+            raise ProfileError(f"paths {', '.join(sorted(paths))} couple a straight path to a loop: no block form")
+        pairs[k].append(tuple(paths.get(path, 0.0) for path in BLOCKS[k]))
+    return pairs
+
+
+def _terms(grid, block, pairs):
+    """(E, bracket, q) per pair of one block (module docstring); a one-path pair has no bracket and q = 0."""
+    offset, c1, c2, gamma = block
+    u = np.square(grid)
+    u *= -2.0 * c1
+    u += 2.0 * offset
+    for alpha, beta in pairs:
+        e = grid * (2.0 * c2)  # v, then d, then E
+        if not (alpha and beta):  # |alpha|^2 e^(u+v) or |beta|^2 e^(u-v)
+            yield (u + e if alpha else u - e) + 2.0 * math.log(abs(alpha or beta)), None, 0.0
+            continue
+        ln_a, ln_b = math.log(abs(alpha)), math.log(abs(beta))
+        e += ln_a - ln_b
+        q = np.expm1(np.negative(np.abs(e, out=e)))  # q - 1, without cancelling near d = 0
+        z = alpha / abs(alpha) * (beta / abs(beta)).conjugate()  # no product of small amplitudes underflows
+        half = cmath.sqrt(z / abs(z))
+        t = grid * gamma  # cos^2(gamma x + phi/2) needs only cos or sin where alpha beta* is real
+        cos = np.sin(t, out=t) if not half.real else np.cos(t, out=t) if not half.imag else (
+            half.real * np.cos(t) - half.imag * np.sin(t))
+        bracket = np.square(cos, out=cos)
+        bracket *= 4.0 * q + 4.0
+        bracket += q * q
+        q += 1.0
+        e += u
+        e += ln_a + ln_b
+        yield e, bracket, q
+
+
+def _profile(grid, blocks, normalization, label) -> IntensityProfile:
+    """The sum of the terms of ``blocks``, (coefficients, amplitude pairs) each, as exp(E + ln bracket): a node is 0
+    whatever its envelope. ``peak`` and ``area`` shift every exponent by the profile's own largest log-value, so
+    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ProfileError("empty grid")
     if normalization not in NORMALIZATIONS:
         raise ProfileError(f"unknown normalization {normalization!r}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a profile that is not finite is named
+        # a density without a weight has one term, 0 everywhere
+        terms = [term for block, pairs in blocks for term in _terms(grid, block, pairs)] or [(grid - np.inf, None, 0.0)]
+        if len(terms) == 1:  # whatever the term's scale
+            vis = np.broadcast_to(2.0 * terms[0][2] / (terms[0][2] ** 2 + 1.0), grid.shape)
+        else:  # the diagonals and cross terms shifted by the largest E at each point
+            top = functools.reduce(np.maximum, [e for e, _, _ in terms])
+            cross = diag = 0.0
+            for e, _, q in terms:
+                weight = np.exp(e - top)
+                cross, diag = cross + 2.0 * q * weight, diag + (q * q + 1.0) * weight
+            vis = np.divide(cross, diag, out=np.zeros_like(grid), where=diag > 0)
+        logs = [e if b is None else np.add(np.log(b, out=b), e, out=b) for e, b, _ in terms]  # E + ln bracket
+        shift = 0.0 if normalization == "raw" else np.nan_to_num(max(map(np.max, logs)), neginf=0.0)  # 0 stays 0
+        values = functools.reduce(np.add, [np.exp(np.subtract(log, shift, out=log), out=log) for log in logs])
+    if not np.isfinite(values).all():
+        raise ProfileError(f"the {label} profile is not finite on this grid")
     if normalization != "raw":
-        if normalization == "peak":
-            scale = values.max()
-        else:
-            scale = np.trapezoid(values, grid) if grid.size > 1 else values.sum()
+        scale = values.max() if normalization == "peak" else np.trapezoid(values, grid) if grid.size > 1 else values[0]
         if not scale > 0:
-            raise ProfileError(f"cannot normalize the {branch} profile: its {normalization} on this grid is {scale:.3g}")
-        values = values / scale
-    return IntensityProfile(grid, values, branch, normalization, visibility, clamped)
+            raise ProfileError(f"cannot normalize the {label} profile: its {normalization} on this grid is {scale:.3g}")
+        values /= scale
+    return IntensityProfile(grid, values, label, normalization, vis)
 
 
 def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
-    """Looped-paths-only interference pattern |ψ12 + ψ21|^2.
-
-    Evaluated in the real form A^2 [e^(u+v) + e^(u-v) + 2 e^u cos(2 gamma x)]
-    (module docstring), equal to |ψ12|^2 + |ψ21|^2 + 2 Re(ψ12 ψ21*)
-    without a complex exponential. Symmetric in x because ψ21(x) = ψ12(-x).
-    The pointwise visibility is 0 where |ψ12|^2 + |ψ21|^2 underflows to 0.
-
-    ``peak`` and ``area`` are ratios, so for them the exponents are shifted
-    by their largest, max(u + |v|), before ``exp``: the largest term is then
-    1 and a profile whose absolute values would be subnormal keeps full
-    precision. ``raw`` keeps the absolute values.
-    """
-    grid = _check_grid(grid)
-    # ln A^2 rides in the exponent, so no factor underflows where the product does not
-    u = 2.0 * (coeffs.c3 + np.log(coeffs.amplitude)) - 2.0 * coeffs.c1 * grid * grid
-    v = 2.0 * coeffs.c2 * grid
-    if normalization != "raw":
-        u = u - np.max(u + np.abs(v))
-    diag = np.exp(u + v) + np.exp(u - v)  # |ψ12|^2 + |ψ21|^2
-    cross = 2.0 * np.exp(u)  # 2 |ψ12 ψ21*|
-    del u, v  # a 200001-point profile: free 3.2 MB before the cosine's temporaries are made
-    values = diag + cross * np.cos(2.0 * coeffs.gamma * grid)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vis = np.where(diag > 0, cross / diag, 0.0)
-    return _finalize(grid, values, "elt", normalization, vis)
+    """Looped-paths-only pattern |ψ12 + ψ21|^2 of ψ12's coefficients, from the closed form or the chain."""
+    return branch_intensity(LOOPS_ONLY, grid, None, normalization, coeffs, "elt")
 
 
 def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
@@ -139,76 +185,33 @@ def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
     )
 
 
-def path_evaluators(config: PhysicsConfig):
-    """Pointwise amplitude evaluator for every path label: the path-1 and loop-12
-    propagator chains, and their mirrors at -x for path 2 and loop 21."""
-    straight = gaussians.chain_nonexotic(1, config)
-    looped = gaussians.chain_exotic("12", config)
-    return {
-        "1": straight.evaluate,
-        "2": straight.mirrored().evaluate,
-        "12": looped.evaluate,
-        "21": looped.mirrored().evaluate,
-    }
-
-
-def branch_intensity(
-    branch,
-    grid,
-    config: PhysicsConfig,
-    normalization: str = "peak",
-    evaluators=None,
-    label: str | None = None,
-) -> IntensityProfile:
-    """Screen profile of a collapsed composite state or a reduced density.
-
-    ``branch`` may be a CompositeState (reduced here), a MeasurementBranch,
-    or a CenterOfMassDensity.
-    """
-    grid = _check_grid(grid)
+def branch_intensity(branch, grid, config: PhysicsConfig, normalization: str = "peak",
+                     coeffs: closedform.EltCoefficients | None = None, label: str | None = None) -> IntensityProfile:
+    """Screen profile of a CompositeState, a MeasurementBranch (collapsed here) or a CenterOfMassDensity.
+    ``config`` builds the path-1 chain for a straight block, and the loop-12 chain for a looped block
+    whose coefficients ``coeffs`` (ψ12's, ``loop_coefficients``) are not given."""
     if isinstance(branch, marking.MeasurementBranch):
-        label = label or branch.name
-        branch = branch.collapsed()
-    if isinstance(branch, marking.CompositeState):
-        density = marking.reduce_center_of_mass(branch)
-    elif isinstance(branch, marking.CenterOfMassDensity):
-        density = branch
-    else:
-        raise ProfileError(f"cannot build a profile from {type(branch).__name__}")
-
-    if evaluators is None:
-        evaluators = path_evaluators(config)
-    amp = {}
-    for path in density.paths():
-        if path not in evaluators:
-            raise ProfileError(f"no wavefunction evaluator for path {path!r}")
-        amp[path] = np.asarray(evaluators[path](grid), dtype=complex)
-
-    values = np.zeros_like(grid)
-    cross_sum = np.zeros_like(grid, dtype=complex)
-    diag_sum = np.zeros_like(grid)
-    for (p, q), w in density.weights.items():
-        term = w * amp[p] * np.conj(amp[q])
-        values = values + term.real
-        if p == q:
-            diag_sum = diag_sum + term.real
-        elif p < q:
-            cross_sum = cross_sum + term
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vis = np.where(diag_sum > 0, 2.0 * np.abs(cross_sum) / diag_sum, 0.0)
-    return _finalize(grid, values, label or "density", normalization, vis)
+        label, branch = label or branch.name, branch.collapsed()
+    straight, looped = _pairs(branch)
+    blocks = []
+    if straight:
+        form = gaussians.chain_nonexotic(1, config)
+        blocks.append(((np.log(np.abs(form.prefactor)) + form.c.real, form.a.real, form.b.real, form.b.imag), straight))
+    if looped:
+        coeffs = loop_coefficients(config) if coeffs is None else coeffs
+        blocks.append(((np.log(coeffs.amplitude) + coeffs.c3, coeffs.c1, coeffs.c2, coeffs.gamma), looped))
+    return _profile(grid, blocks, normalization, label or "density")
 
 
 def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.ndarray:
-    """Symmetric grid spanning +/- 5 fringe spacings pi/|gamma|. One point is the centre, 0."""
+    """Grid spanning +/- 5 fringe spacings pi/|gamma|, symmetric bit for bit: an odd grid's centre is 0."""
     if coeffs.gamma == 0:
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
     half = 5.0 * np.pi / np.abs(coeffs.gamma)
     if points < 1:
         raise ProfileError("grid needs at least one point")
-    if points == 1:
-        return np.zeros(1)
-    return np.linspace(-half, half, points)
+    grid = np.linspace(-half, half, points)
+    return 0.5 * (grid - grid[::-1])  # linspace's -half + k step is not -(half - k step) in floats; one point is 0
 
 
 def fringe_spacing(coeffs: closedform.EltCoefficients):
@@ -230,12 +233,9 @@ def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConf
     h = pi/|gamma|/80, |k| <= 120 (module docstring): the points of an
     801-point ``default_grid`` within ``CENTRAL_FRINGES`` fringe spacings of
     the centre. With a = 2 C1 h^2 and b = |2 C2 h| the profile over k >= 0 is
-    e^(u+v) + e^(u-v) + 2 e^u cos(pi k/40), u = -a k^2 - shift, v = b k.
-    The shift max_k(-a k^2 + b k) makes the largest exponent 0, as in
-    ``elt_intensity``; it sits at the parabola's vertex b/2a rounded to the
-    lattice and clipped to it, so no array is scanned. The clamp, its
-    significance check and the peak normalization are those of every
-    profile, applied to the two extremes.
+    e^(u+v) + e^(u-v) + 2 e^u cos(pi k/40), u = -a k^2 - shift, v = b k; the
+    shift max_k(-a k^2 + b k), at the vertex b/2a rounded to the lattice and
+    clipped to it, scans no array. A minimum below 0 by round-off is clamped.
     """
     gamma = np.asarray(coeffs.gamma, dtype=float)
     k = _LATTICE_K

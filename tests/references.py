@@ -1,11 +1,14 @@
 """Reference formulas that only the tests use: textbook intensity identities,
 the aggregate visibility of a sampled profile, the closed-form norm of a
-Gaussian form, and adaptive quadrature of the free-particle integrals.
+Gaussian form, adaptive quadrature of the free-particle integrals, and a
+50-digit transcription of the path-1 and loop-12 propagator chains with the
+screen profile of every named branch.
 
 The quadratures deliberately avoid the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and
 integrated numerically, so agreement with the chain engine is a genuine
-cross-check and not a tautology. Only the adaptive-quadrature functions
+cross-check and not a tautology. The 50-digit chains are written step by
+step from the Gaussian integral in mpmath, and share no code with it. Only the adaptive-quadrature functions
 import scipy. The runtime package needs none of this; its own loop oracle
 is :func:`eltsim.oracle.looped_path_value`.
 """
@@ -16,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from eltsim.gaussians import GaussianForm
@@ -145,3 +149,70 @@ def free_propagated_value(config: PhysicsConfig, duration: float, x: float) -> c
 
     half = _DOMAIN_WIDTHS * config.sigma0
     return pref * complex_quad(integrand, -half, half)
+
+
+def _mp_flight(form, kappa, constant):
+    """The form P exp(-a y^2 + b y + c) carried through the kernel constant * exp(i kappa (x - y)^2 / 2):
+    in y the exponent is -A y^2 + B y + i kappa x^2 / 2 + c with A = a - i kappa / 2 and B = b - i kappa x,
+    and integral exp(-A y^2 + B y) dy = sqrt(pi / A) exp(B^2 / 4A) for Re A > 0. B^2 / 4A is
+    (b^2 - 2 i kappa b x - kappa^2 x^2) / 4A, so x^2, x and 1 collect the new coefficients."""
+    a, b, c, pref = form
+    big_a = a - 0.5j * kappa
+    return (
+        kappa**2 / (4 * big_a) - 0.5j * kappa,
+        -1j * kappa * b / (2 * big_a),
+        c + b**2 / (4 * big_a),
+        pref * constant * mpmath.sqrt(mpmath.pi / big_a),
+    )
+
+
+def _mp_slit(form, center, beta):
+    """The form times the Gaussian aperture exp(-(x - center)^2 / 2 beta^2)."""
+    a, b, c, pref = form
+    return a + 1 / (2 * beta**2), b + center / beta**2, c - center**2 / (2 * beta**2), pref
+
+
+def mp_chain(config: PhysicsConfig, looped: bool):
+    """(a, b, c, P) of ψ(x) = P exp(-a x^2 + b x + c) for path 1, or with ``looped`` loop 12, at the working
+    precision: the source packet flies t, passes slit 1 at +d/2 (for loop 12 it then flies to slit 2 at -d/2
+    and back to slit 1, each leg on the kernel exp(i m (x2 - x1)^2 / 4 hbar span), span = epsilon + eta,
+    and sqrt(m / 4 pi i hbar span) once for both legs) and flies tau to the screen."""
+    m, hbar, sigma0, beta, d = (mpmath.mpf(v) for v in (config.mass, config.hbar, config.sigma0, config.beta, config.d))
+
+    def free(form, duration):
+        kappa = m / (hbar * duration)
+        return _mp_flight(form, kappa, mpmath.sqrt(m / (2j * mpmath.pi * hbar * duration)))
+
+    form = (1 / (2 * sigma0**2), mpmath.mpc(0), mpmath.mpc(0), (sigma0 * mpmath.sqrt(mpmath.pi)) ** -0.5)
+    form = _mp_slit(free(form, mpmath.mpf(config.t)), d / 2, beta)
+    if looped:
+        span = d * m * mpmath.sqrt(2) * sigma0 / hbar + mpmath.mpf(config.eta)  # epsilon = d / Delta v_x
+        kappa = m / (2 * hbar * span)
+        form = _mp_slit(_mp_flight(form, kappa, 1), -d / 2, beta)
+        form = _mp_slit(_mp_flight(form, kappa, mpmath.sqrt(m / (4j * mpmath.pi * hbar * span))), d / 2, beta)
+    return free(form, mpmath.mpf(config.tau))
+
+
+def mp_branch_profiles(config: PhysicsConfig, grid) -> dict[str, np.ndarray]:
+    """The peak-normalized screen profile of every named branch on ``grid``, from 50-digit chains:
+    ``elt`` |ψ12 + ψ21|^2, ``ground`` |ψ1|^2 + |ψ2|^2, ``full`` the ground's weighted by |amp_nonexotic|^2
+    plus the elt's by |amp_exotic|^2, and ``fringes`` / ``antifringes`` |ψ1 +/- ψ2|^2, with the mirrors
+    ψ2(x) = ψ1(-x) and ψ21(x) = ψ12(-x)."""
+    with mpmath.workdps(50):
+        chains = [mp_chain(config, looped) for looped in (False, True)]
+        straight, loop = (
+            [(psi(x), psi(-x)) for x in map(mpmath.mpf, np.asarray(grid, dtype=float).tolist())]
+            for a, b, c, pref in chains
+            for psi in [lambda x, a=a, b=b, c=c, pref=pref: pref * mpmath.exp(-a * x * x + b * x + c)]
+        )
+        w_straight, w_loop = abs(complex(config.amp_nonexotic)) ** 2, abs(complex(config.amp_exotic)) ** 2
+        sq = mpmath.fabs
+        profiles = {
+            "elt": [sq(p + q) ** 2 for p, q in loop],
+            "ground": [sq(p) ** 2 + sq(q) ** 2 for p, q in straight],
+            "fringes": [sq(p + q) ** 2 for p, q in straight],
+            "antifringes": [sq(p - q) ** 2 for p, q in straight],
+        }
+        profiles["full"] = [w_straight * g + w_loop * e for g, e in zip(profiles["ground"], profiles["elt"])]
+        peaks = {name: max(values) for name, values in profiles.items()}
+        return {name: np.array([float(v / peaks[name]) for v in values]) for name, values in profiles.items()}

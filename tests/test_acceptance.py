@@ -120,10 +120,9 @@ def test_acceptance_5_decoherence_and_duality(config):
     collapsed = ground.collapsed()
     a1 = collapsed.amplitude(BasisLabel("1", "g", "10"))
     a2 = collapsed.amplitude(BasisLabel("2", "g", "01"))
-    evaluators = intensity.path_evaluators(config)
     incoherent = (
-        abs(a1) ** 2 * np.abs(evaluators["1"](grid)) ** 2
-        + abs(a2) ** 2 * np.abs(evaluators["2"](grid)) ** 2
+        abs(a1) ** 2 * np.abs(gaussians.chain_nonexotic(1, config).evaluate(grid)) ** 2
+        + abs(a2) ** 2 * np.abs(gaussians.chain_nonexotic(2, config).evaluate(grid)) ** 2
     )
     assert np.max(np.abs(profile.values - incoherent)) <= 1e-12 * np.max(incoherent)
     _report(5, "marked state V=P=0, erased duality identity, cross-term-free ground branch")

@@ -397,17 +397,30 @@ amp_exotic_re = 0.05
 
 
 @pytest.mark.parametrize("branch", ["ground", "full", "fringes", "antifringes"])
-def test_a_profile_that_underflows_everywhere_is_named_not_written(tmp_path, capsys, branch):
+def test_a_profile_that_underflows_everywhere_is_written_peak_normalized(tmp_path, branch):
     config = tmp_path / "run.cfg"
     config.write_text(UNDERFLOWING_CONFIG_TEXT)
     out = tmp_path / "profile.csv"
-    assert main(["intensity", "--config", str(config), "--branch", branch, "--out", str(out)]) == 2
-    assert f"cannot normalize the {branch} profile: its peak on this grid is 0" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["intensity", "--config", str(config), "--branch", branch, "--out", str(out)]) == 0
+    _, body = _read_csv(out)
+    assert np.all(np.isfinite(body)) and body[:, 1].min() >= 0.0 and body[:, 1].max() == 1.0
     # the raw profile is written: its absolute values are all 0 there
     assert main(["intensity", "--config", str(config), "--branch", branch, "--raw", "--out", str(out)]) == 0
     _, body = _read_csv(out)
     assert np.all(body[:, 1] == 0.0)
+
+
+def test_the_elt_pattern_needs_no_loop_weight(tmp_path):
+    # elt is both loops with unit weights, not the collapsed excited branch, which has no state at amp_exotic = 0
+    outs = []
+    for weight in ("0.05", "0"):
+        config = tmp_path / f"loops-{weight}.cfg"
+        config.write_text(CONFIG_TEXT.replace("amp_exotic_re = 0.05", f"amp_exotic_re = {weight}"))
+        outs.append(tmp_path / f"elt-{weight}.csv")
+        assert main(["intensity", "--config", str(config), "--branch", "elt", "--grid-points", "101", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_a_ground_branch_of_tiny_probability_is_still_a_branch(tmp_path, capsys):

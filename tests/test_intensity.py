@@ -12,7 +12,6 @@ from eltsim.intensity import (
     default_grid,
     elt_intensity,
     fringe_spacing,
-    path_evaluators,
 )
 from eltsim.params import derive, rubidium_config
 from references import aggregate_visibility, born_double_slit, fringes_antifringes, visibility_predictability
@@ -151,13 +150,12 @@ def test_ground_branch_has_no_cross_terms(config, grid):
     state = marking.post_slit_state(config)
     ground, _ = marking.measure_internal(state)
     profile = branch_intensity(ground, grid, config, "raw")
-    evaluators = path_evaluators(config)
     collapsed = ground.collapsed()
     a1 = collapsed.amplitude(marking.BasisLabel("1", "g", "10"))
     a2 = collapsed.amplitude(marking.BasisLabel("2", "g", "01"))
     incoherent = (
-        abs(a1) ** 2 * np.abs(evaluators["1"](grid)) ** 2
-        + abs(a2) ** 2 * np.abs(evaluators["2"](grid)) ** 2
+        abs(a1) ** 2 * np.abs(gaussians.chain_nonexotic(1, config).evaluate(grid)) ** 2
+        + abs(a2) ** 2 * np.abs(gaussians.chain_nonexotic(2, config).evaluate(grid)) ** 2
     )
     assert np.max(np.abs(profile.values - incoherent)) <= 1e-12 * np.max(incoherent)
     assert np.allclose(profile.visibility, 0.0)
@@ -190,43 +188,55 @@ def test_branch_consistency(config, grid):
     assert np.max(np.abs(mixed - full.values)) <= 1e-10 * np.max(full.values)
 
 
-def test_missing_evaluator_rejected(config, grid):
-    state = marking.post_slit_state(config)
-    with pytest.raises(ProfileError):
-        branch_intensity(state, grid, config, "raw", evaluators={"1": lambda x: x})
-
-
-def _indefinite(config, amp2, normalization):
-    # |ψ1|^2 - |ψ2|^2 with ψ1 = 1: a Hermitian weight matrix that is not positive, on five points
-    density = marking.CenterOfMassDensity({("1", "1"): 1.0, ("2", "2"): -1.0})
-    evaluators = {"1": np.ones_like, "2": lambda x: np.array(amp2, dtype=complex)}
-    return branch_intensity(density, np.linspace(-1.0, 1.0, 5), config, normalization, evaluators, label="stub")
+def test_a_label_coupling_a_straight_path_to_a_loop_is_refused(config, grid):
+    # marking never makes one: a detector label that holds path 1 and loop 12 has no block form
+    state = marking.CompositeState.from_unnormalized(
+        {marking.BasisLabel("1", "g", "00"): 1.0, marking.BasisLabel("12", "g", "00"): 1.0}
+    )
+    for branch in (state, marking.reduce_center_of_mass(state)):
+        with pytest.raises(ProfileError, match="paths 1, 12 couple a straight path to a loop: no block form"):
+            branch_intensity(branch, grid, config, "raw")
 
 
 @pytest.mark.parametrize("normalization", ["raw", "peak"])
-def test_a_significantly_negative_profile_is_refused(config, normalization):
-    with pytest.raises(ProfileError, match="significantly negative: min -1e-09"):
-        _indefinite(config, [0.0, 0.0, math.sqrt(1.0 + 1e-9), 0.0, 0.0], normalization)
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {("1", "1"): 1.0, ("2", "2"): -1.0},  # |ψ1|^2 - |ψ2|^2
+        {("12", "12"): -1.0},
+        {("1", "1"): 1.0, ("2", "2"): 1.0, ("1", "2"): 1.0 + 1e-9, ("2", "1"): 1.0 + 1e-9},  # |w12|^2 > w11 w22
+        {("2", "2"): 1.0, ("1", "2"): 0.5, ("2", "1"): 0.5},  # w11 = 0 with a cross weight
+    ],
+    ids=["negative-diagonal", "negative-loop", "cross-beyond-diagonal", "cross-without-diagonal"],
+)
+def test_an_indefinite_density_is_refused_by_name(config, normalization, weights):
+    density = marking.CenterOfMassDensity(weights)
+    with pytest.raises(ProfileError, match="density not positive semi-definite on paths"):
+        branch_intensity(density, np.linspace(-1e-6, 1e-6, 5), config, normalization)
 
 
-@pytest.mark.parametrize("normalization", ["raw", "peak"])
-def test_a_round_off_negative_is_clamped_and_counted(config, normalization):
-    # 1 - |ψ2|^2 is about -1e-13 at two points, within 1e-12 of the peak 1
-    edge = math.sqrt(1.0 + 1e-13)
-    profile = _indefinite(config, [0.0, edge, 0.0, edge, 0.0], normalization)
-    assert 1.0 - edge * edge < 0.0
-    assert profile.clamped_points == 2
-    assert profile.values.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+def test_a_pure_density_block_is_split_without_a_remainder(config, grid):
+    # w11 w22 - |w12|^2 = 0 exactly for equal weights: the loop block is one term, the excited branch's
+    _, excited = marking.measure_internal(marking.post_slit_state(config))
+    density = marking.reduce_center_of_mass(excited.collapsed())
+    straight, looped = intensity._pairs(density)
+    assert straight == [] and len(looped) == 1
+    from_density = branch_intensity(density, grid, config, "peak")
+    from_state = branch_intensity(excited, grid, config, "peak")
+    assert np.max(np.abs(from_density.values - from_state.values)) <= 1e-14
+    assert np.max(np.abs(from_density.visibility - from_state.visibility)) <= 1e-14
 
 
 def test_a_profile_without_a_positive_peak_is_not_normalized(config):
-    density = marking.CenterOfMassDensity({("1", "1"): 1.0})
-    grid = np.linspace(-1.0, 1.0, 5)
-    evaluators = {"1": np.zeros_like}
+    # a one-point grid on the antifringe node x = 0: the profile is exactly 0 there
+    state = marking.post_slit_state(config)
+    ground, _ = marking.measure_internal(state)
+    _, antifringes = marking.eraser_basis_single_detector(ground.collapsed())
+    grid = np.zeros(1)
     for normalization in ("peak", "area"):
         with pytest.raises(ProfileError, match=f"cannot normalize the stub profile: its {normalization} on this grid is 0"):
-            branch_intensity(density, grid, config, normalization, evaluators, label="stub")
-    assert branch_intensity(density, grid, config, "raw", evaluators, label="stub").values.tolist() == [0.0] * 5
+            branch_intensity(antifringes, grid, config, normalization, label="stub")
+    assert branch_intensity(antifringes, grid, config, "raw", label="stub").values.tolist() == [0.0]
 
 
 def test_default_grid_span(coeffs):

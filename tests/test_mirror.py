@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eltsim import closedform, gaussians, intensity, verification
+from eltsim import closedform, gaussians, verification
 from eltsim.params import rubidium_config
 from test_sweep import _count_calls
 
@@ -31,23 +31,6 @@ def test_mirrored_evaluates_the_form_at_minus_x():
     form = gaussians.chain_exotic("12", rubidium_config())
     grid = np.linspace(-1e-6, 1e-6, 41)
     assert np.array_equal(form.mirrored().evaluate(grid), form.evaluate(-grid))
-
-
-def test_path_evaluators_build_one_straight_and_one_looped_chain(monkeypatch):
-    config = CONFIGS["eta"]
-    straight = _count_calls(monkeypatch, gaussians, "chain_nonexotic")
-    looped = _count_calls(monkeypatch, gaussians, "chain_exotic")
-    evaluators = intensity.path_evaluators(config)
-    assert (len(straight), len(looped)) == (1, 1)
-    grid = np.linspace(-1e-6, 1e-6, 41)
-    chains = {
-        "1": gaussians.chain_nonexotic(1, config),
-        "2": gaussians.chain_nonexotic(2, config),
-        "12": gaussians.chain_exotic("12", config),
-        "21": gaussians.chain_exotic("21", config),
-    }
-    for path, form in chains.items():
-        assert np.array_equal(evaluators[path](grid), form.evaluate(grid)), path
 
 
 def test_closed_vs_chain_builds_the_loop_chain_once(monkeypatch):

@@ -1,13 +1,15 @@
-"""Branch profiles take all four path amplitudes from the propagator chain."""
+"""Branch profiles take all four path amplitudes from the propagator chain: path 1, loop 12 and their mirrors."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from eltsim import closedform, gaussians, intensity, marking
-from eltsim.cli import BRANCHES, branch_profile
+from eltsim import closedform, gaussians, intensity
+from eltsim.cli import BRANCHES, branch_profile, main
 from eltsim.params import rubidium_config
+from references import born_double_slit
+from test_sweep import _count_calls
 
 CONFIGS = {
     "rubidium": rubidium_config(),
@@ -17,22 +19,26 @@ CONFIGS = {
 
 
 def _profiles(config, normalization):
-    solution = closedform.solve(config)
-    grid = intensity.default_grid(solution.coeffs, points=401)
+    coeffs = intensity.loop_coefficients(config)
+    grid = intensity.default_grid(coeffs, points=401)
     return {
-        branch: branch_profile(branch, grid, config, solution, normalization)
+        branch: branch_profile(branch, grid, config, coeffs, normalization)
         for branch in BRANCHES
         if branch != "elt"
     }
 
 
-def test_path_evaluators_solve_nothing(monkeypatch, config):
-    calls = []
-    real = closedform.build_coefficients
-    monkeypatch.setattr(closedform, "build_coefficients", lambda *a: calls.append(a) or real(*a))
-    evaluators = intensity.path_evaluators(config)
-    assert sorted(evaluators) == ["1", "12", "2", "21"]
-    assert calls == []
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_an_intensity_command_builds_each_chain_once_and_solves_nothing(tmp_path, monkeypatch, branch):
+    # the loop chain once, for the grid and the loop block; the path-1 chain only for a straight block
+    path = tmp_path / "run.cfg"
+    path.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n"
+                    "eta_s = 3e-7\namp_nonexotic_re = 1.0\namp_exotic_re = 0.05\n")
+    straight = _count_calls(monkeypatch, gaussians, "chain_nonexotic")
+    looped = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    solves = _count_calls(monkeypatch, closedform, "build_coefficients")
+    assert main(["intensity", "--config", str(path), "--branch", branch, "--grid-points", "11"]) == 0
+    assert (len(looped), len(straight), len(solves)) == (1, 0 if branch == "elt" else 1, 0)
 
 
 @pytest.mark.parametrize("normalization", ["raw", "peak"])
@@ -49,18 +55,17 @@ def test_profiles_do_not_see_the_sign_of_the_loop_weight(name, normalization):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_full_profile_matches_the_closed_form_loops(name):
+    # |a|^2 (|ψ1|^2 + |ψ2|^2) + |a_loop|^2 |ψ12 + ψ21|^2 over the state's norm, with the closed-form loops
     config = CONFIGS[name]
-    solution = closedform.solve(config)
-    coeffs = solution.coeffs
+    coeffs = closedform.solve(config).coeffs
     grid = intensity.default_grid(coeffs, points=2001)
-    closed = {
-        "1": gaussians.chain_nonexotic(1, config).evaluate,
-        "2": gaussians.chain_nonexotic(2, config).evaluate,
-        "12": lambda x: closedform.CHAIN_SIGN * closedform.psi12(x, coeffs),
-        "21": lambda x: closedform.CHAIN_SIGN * closedform.psi21(x, coeffs),
-    }
-    state = marking.post_slit_state(config)
-    chain = branch_profile("full", grid, config, solution, "raw")
-    reference = intensity.branch_intensity(state, grid, config, "raw", closed, label="full")
-    scale = np.max(reference.values)
-    assert np.max(np.abs(chain.values - reference.values)) <= 1e-12 * scale
+    straight = abs(config.amp_nonexotic) ** 2
+    looped = abs(config.amp_exotic) ** 2
+    reference = (
+        straight * born_double_slit(gaussians.chain_nonexotic(1, config).evaluate(grid), 0.0)
+        + straight * born_double_slit(gaussians.chain_nonexotic(2, config).evaluate(grid), 0.0)
+        + looped * born_double_slit(closedform.psi12(grid, coeffs), closedform.psi21(grid, coeffs))
+    ) / (2.0 * (straight + looped))
+    chain = branch_profile("full", grid, config, intensity.loop_coefficients(config), "raw")
+    scale = np.max(reference)
+    assert np.max(np.abs(chain.values - reference)) <= 1e-12 * scale

@@ -89,26 +89,18 @@ def test_sweep_below_the_lifetime_limit_prints_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize(
-    "overrides, argv, clamped",
-    [
-        ({}, ["--branch", "elt"], 0),
-        # the antifringe zero at x = 0 comes out as a round-off negative, clipped to 0
-        (
-            {"t_s": "1e-6", "amp_nonexotic_re": "0.6", "amp_nonexotic_im": "-0.8"},
-            ["--branch", "antifringes", "--raw", "--grid-min=-3e-6", "--grid-max=3e-6", "--grid-points", "101"],
-            1,
-        ),
-    ],
-    ids=["none", "antifringe-zero"],
-)
-def test_intensity_manifest_records_clamped_points(tmp_path, overrides, argv, clamped):
+@pytest.mark.parametrize("raw", [["--raw"], []], ids=["raw", "peak"])
+def test_an_antifringe_node_is_written_as_an_exact_zero(tmp_path, raw):
+    # sin^2(gamma x) at x = 0: no round-off negative to clamp, and no manifest count of clamped points
+    overrides = {"t_s": "1e-6", "amp_nonexotic_re": "0.6", "amp_nonexotic_im": "-0.8"}
+    argv = ["--branch", "antifringes", *raw, "--grid-points", "101"]  # the default grid: its centre is 0
     out = tmp_path / "profile.csv"
     assert main(["intensity", "--config", str(_config(tmp_path, **overrides)), *argv, "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "profile.csv.manifest.json").read_text())
-    assert manifest["clamped_points"] == clamped
-    if clamped:
-        assert min(float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]) == 0.0
+    assert "clamped_points" not in manifest
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert rows[50][:2] == [0.0, 0.0]
+    assert min(row[1] for row in rows[:50] + rows[51:]) > 0.0
 
 
 # the decades (every 4th) at which the expanded coefficient terms raised from a Python float ** or /
