@@ -20,7 +20,9 @@ with unit weights. Each profile holds one configuration, on a 1-D grid.
 of configurations on one shared fringe lattice, x = k h with
 h = pi/|gamma|/80 and |k| <= 120: on it cos(2 gamma x) = cos(pi k/40) is one
 table for every row, and the profile is even in k, so only k >= 0 is
-evaluated.
+evaluated. It is the loop block's term with alpha = beta = 1, >= 0 by
+construction: nothing is clamped, and a block fails only on a row whose
+peak shift is not finite, or whose coefficients overflow on the lattice.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class IntensityProfile:
             raise ProfileError("empty grid")
         if np.any(np.diff(self.grid) <= 0):
             raise ProfileError("grid must be strictly increasing")
-
-
-def _significantly_negative(lo, hi):
-    """Whether a minimum ``lo`` (maximum ``hi``) is below 0 by more than round-off: 1e-12 max(1, |lo|, |hi|)."""
-    return lo < -1e-12 * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
 
 
 def _pairs(branch) -> tuple[list, list]:
@@ -222,39 +219,41 @@ def fringe_spacing(coeffs: closedform.EltCoefficients):
 
 
 def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConfig):
-    """(Imax - Imin)/(Imax + Imin) of the peak-normalized looped-path profile
-    over the central three fringes, per configuration of ``coeffs`` (a float
-    for one, an array for a block of them). ``config`` holds the
-    configurations the coefficients belong to; a failing check names the
-    swept value of the row that fails.
+    """(Imax - Imin)/(Imax + Imin) of the looped-path profile over the central
+    three fringes, per configuration of ``coeffs`` (a float for one, an array
+    for a block of them). ``config`` holds the configurations the coefficients
+    belong to; a failing check names the swept value of the row that fails.
 
     A convenience metric for sweeps; it depends on the window, so it is
     reported under its own name. The window is the lattice x = k h,
     h = pi/|gamma|/80, |k| <= 120 (module docstring): the points of an
     801-point ``default_grid`` within ``CENTRAL_FRINGES`` fringe spacings of
-    the centre. With a = 2 C1 h^2 and b = |2 C2 h| the profile over k >= 0 is
-    e^(u+v) + e^(u-v) + 2 e^u cos(pi k/40), u = -a k^2 - shift, v = b k; the
+    the centre. With a = 2 C1 h^2 and b = |2 C2 h| the profile at k >= 0 is
+    the loop block's form, e^(v - a k^2 - shift) [(1 - q)^2 + 2 q (1 + cos(pi k/40))]
+    with v = b k and q = e^-v: every term is >= 0, so nothing is clamped. The
     shift max_k(-a k^2 + b k), at the vertex b/2a rounded to the lattice and
-    clipped to it, scans no array. A minimum below 0 by round-off is clamped.
+    clipped to it, scans no array, and the exponent is 0 there to the bit: a
+    row whose shift is finite has a finite positive peak unless its
+    coefficients overflow on the lattice.
     """
     gamma = np.asarray(coeffs.gamma, dtype=float)
-    k = _LATTICE_K
+    k = np.abs(_LATTICE_K)  # the window is even in k bit for bit
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a degenerate row is named below
         h = np.pi / np.abs(gamma) / 80.0
         a = (2.0 * coeffs.c1 * h * h)[..., None]  # a column per configuration, against the lattice's k
         b = np.abs(2.0 * coeffs.c2 * h)[..., None]
         peak = np.minimum(np.maximum(np.rint(b / (2.0 * a)), 0.0), k[-1])
-        shift = b * peak - a * peak * peak
-        # u, v and the sum are one (3, rows, 121) allocation that every step writes into: glibc keeps one
-        # 744 kB block's pages from call to call, while three 248 kB arrays, or a fresh temporary per step,
+        shift = b * peak - a * (peak * peak)  # the exponent below at k = peak, to the bit: 0 there
+        # the exponent, q - 1 and the sum are one (3, rows, 121) allocation that every step writes into: glibc keeps
+        # one 744 kB block's pages from call to call, while three 248 kB arrays, or a fresh temporary per step,
         # are handed back and faulted in again on every 256-row block (149 to 271 minor faults per call)
-        u, v, values = np.empty((3,) + np.broadcast_shapes(a.shape, k.shape))
-        np.multiply(-a, k * k, out=u)
-        u -= shift
-        np.multiply(b, k, out=v)
-        np.exp(np.add(u, v, out=values), out=values)
-        values += np.exp(np.subtract(u, v, out=v), out=v)  # the same sum at -k: the half window holds every value
-        values += np.multiply(2.0 * _LATTICE_COS, np.exp(u, out=u), out=u)
+        e, q, values = np.empty((3,) + np.broadcast_shapes(a.shape, k.shape))
+        np.multiply(-b, k, out=q)  # -v
+        np.subtract(-shift, np.add(np.multiply(a, k * k, out=e), q, out=e), out=e)  # v - a k^2 - shift
+        np.square(np.expm1(q, out=q), out=values)  # (1 - q)^2, without cancelling near v = 0
+        q += 1.0
+        values += np.multiply(q, 2.0 + 2.0 * _LATTICE_COS, out=q)
+        values *= np.exp(e, out=e)
     hi, lo = values.max(axis=-1), values.min(axis=-1)
 
     def undefined(at, where):
@@ -263,11 +262,8 @@ def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConf
         if not np.isfinite(at(shift)):
             return (f"no finite peak shift of the visibility window{where}: "
                     f"a = 2 C1 h^2 = {at(a)!r}, b = |2 C2 h| = {at(b)!r}")
-        return (f"window intensity without a finite positive peak, or significantly negative{where}: "
-                f"min {at(lo):.3g}, max {at(hi):.3g}")
+        return f"window intensity without a finite positive peak{where}: min {at(lo):.3g}, max {at(hi):.3g}"
 
-    defined = np.isfinite(shift[..., 0]) & (0 < hi) & (hi < np.inf) & ~_significantly_negative(lo, hi)
-    check(defined, config, undefined, ProfileError)
-    lo = np.where(lo < 0, 0.0, lo) / hi  # clamped and peak-normalized: the peak is 1
-    agg = (1.0 - lo) / (1.0 + lo)
+    check(np.isfinite(shift[..., 0]) & (0 < hi) & (hi < np.inf), config, undefined, ProfileError)
+    agg = (hi - lo) / (hi + lo)
     return float(agg) if agg.ndim == 0 else agg

@@ -21,7 +21,7 @@ import numpy as np
 
 CODATA_HBAR = 1.054571817e-34  # J s
 
-# Rubidium circular-Rydberg transition used for the cavity marking estimates.
+# Rubidium circular-Rydberg transition: validated and echoed in manifests, read by no computation.
 DEFAULT_OMEGA_GE = 2.0 * math.pi * 51.099e9  # rad/s
 DEFAULT_LIFETIME = 30e-3  # s
 

@@ -257,3 +257,52 @@ def test_degenerate_row_in_a_later_chunk_writes_no_row(tmp_path, monkeypatch, ca
     value = np.linspace(90e-9, 360e-9, steps)[SWEEP_CHUNK + 3].item()
     assert f"no finite peak shift of the visibility window at d = {value!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
+
+
+# the verify box of perfbench's in_verify_box: t and tau log-uniform in [1e-9, 1e-2] s, d, sigma0 and beta over
+# one decade either side of Rubidium
+VERIFY_BOX = {"t": (1e-9, 1e-2), "tau": (1e-9, 1e-2)} | {
+    name: (getattr(RUBIDIUM, name) / 10.0, getattr(RUBIDIUM, name) * 10.0) for name in ("d", "sigma0", "beta")
+}
+
+
+def _in_verify_box(name, u):
+    """The value a fraction ``u`` of the way across the box's ``name`` range, log-uniformly."""
+    lo, hi = VERIFY_BOX[name]
+    return lo * (hi / lo) ** u
+
+
+def _mpmath_lattice_visibility(c1, c2, gamma):
+    """aggregate_visibility of |ψ12 + ψ21|^2 on the lattice x = k pi/|gamma|/80, k = 0 .. 120, from ψ12's
+    c1, c2 and gamma in 50-digit arithmetic; its amplitude and c3 scale every value alike."""
+    with mpmath.workdps(50):
+        c1, c2, gamma = map(mpmath.mpf, (c1, c2, gamma))
+        values = []
+        for k in range(121):
+            x = k * mpmath.pi / abs(gamma) / 80
+            diag = mpmath.exp(2 * c2 * x) + mpmath.exp(-2 * c2 * x)
+            values.append(mpmath.exp(-2 * c1 * x * x) * (diag + 2 * mpmath.cos(2 * gamma * x)))
+        hi, lo = max(values), min(values)
+        return float((hi - lo) / (hi + lo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    parameter=st.sampled_from(SWEEP_PARAMETERS),
+    place=st.fixed_dictionaries({name: st.floats(0.0, 1.0) for name in VERIFY_BOX}),
+    swept=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_every_swept_row_of_the_verify_box_matches_mpmath(parameter, place, swept):
+    # each row in [0, 1] and within 1e-13 of the 50-digit lattice, or the block refused by a swept value's name
+    values = [_in_verify_box(parameter, u) for u in swept]
+    place = {name: _in_verify_box(name, u) for name, u in place.items()}
+    config = dataclasses.replace(RUBIDIUM, **place | {parameter: np.array(values)})
+    coeffs = intensity.loop_coefficients(config)
+    try:
+        rows = intensity.aggregate_visibility(coeffs, config)
+    except intensity.ProfileError as exc:
+        assert any(f" at {parameter} = {value!r}" in str(exc) for value in values), exc
+        return
+    assert np.all((0.0 <= rows) & (rows <= 1.0))
+    for row, c1, c2, gamma in zip(rows.tolist(), coeffs.c1, coeffs.c2, coeffs.gamma):
+        assert row == pytest.approx(_mpmath_lattice_visibility(c1, c2, gamma), rel=1e-13, abs=0)
