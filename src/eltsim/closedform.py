@@ -20,9 +20,9 @@ guards name the first swept value that trips them.
 
 Nothing on the hot path reads the closed form: every profile and sweep row
 comes from the propagator chain of :mod:`eltsim.gaussians`. The closed form
-is the reference that verification checks the chain against (the chain is
-exactly ``CHAIN_SIGN`` times it, for eta = 0) and the coefficient record of
-every manifest.
+is the reference that verification checks the chain's record against, both
+evaluated by ``psi12``/``psi21`` (the chain is exactly ``CHAIN_SIGN`` times
+psi12, for eta = 0), and the coefficient record of every manifest.
 """
 
 from __future__ import annotations

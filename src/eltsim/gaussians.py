@@ -10,9 +10,10 @@ sqrt(pi/A) exp(B^2/4A)  for Re(A) > 0 (principal-branch square roots
 throughout). The chain is exact;
 every path amplitude and looped-path coefficient on the hot path comes from
 it, and verification checks the closed form of :mod:`eltsim.closedform`
-against it. Forms and chains broadcast: over a configuration whose swept
-field is a 1-D array (``params.swept``) every coefficient is an array with
-one element per configuration.
+against the looped-path coefficients read off it. Forms and chains
+broadcast: over a configuration whose swept field is a 1-D array
+(``params.swept``) every coefficient is an array with one element per
+configuration.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class GaussianForm:
         return self
 
     def evaluate(self, x):
-        """Value at real position x (scalar or array)."""
+        """Value at real position x (scalar or array); a reference for tests, as runtime code reads coefficients."""
         x = np.asarray(x, dtype=float)
         exponent = -self.a * x * x + self.b * x + self.c
         if np.any(exponent.real > _EXP_LIMIT):

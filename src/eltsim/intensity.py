@@ -53,7 +53,7 @@ class ProfileError(ValueError):
 
 @dataclass
 class IntensityProfile:
-    grid: np.ndarray  # strictly increasing screen positions, m
+    grid: np.ndarray  # finite, strictly increasing screen positions, m
     values: np.ndarray  # intensity per point, >= 0
     branch: str
     normalization: str
@@ -64,8 +64,8 @@ class IntensityProfile:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.size == 0:
             raise ProfileError("empty grid")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ProfileError("grid must be strictly increasing")
+        if not ((np.diff(self.grid) > 0).all() and np.isfinite(self.grid[[0, -1]]).all()):  # NaN never increases
+            raise ProfileError("grid must be finite and strictly increasing")
 
 
 def _pairs(branch) -> tuple[list, list]:

@@ -7,9 +7,9 @@ Three layers, from cheapest to most expensive:
 * coefficient terms: each expanded coefficient term must match its compact
   complex counterpart, so a wrong term is named individually (and mu the
   paper's Gouy phase modulo pi);
-* wavefunction equivalence: the closed-form psi12/psi21 must agree with the
-  exact propagator chain pointwise, and the chain in turn with direct 2-D
-  quadrature of the loop integral.
+* wavefunction equivalence: the closed-form psi12/psi21 must agree pointwise with those of
+  the record every command writes from (``intensity.loop_coefficients``, read off the loop-12
+  chain), and that record in turn with direct 2-D quadrature of the loop integral.
 
 Every layer takes one ``closedform.Solution``, which carries the
 configuration it solved; no layer solves. ``eltsim verify`` solves once and
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform, gaussians, intensity, oracle
+from . import closedform, intensity, oracle
 
 ZTABLE_TOL = 1e-12
 TERM_TOL = 1e-12
@@ -143,29 +143,27 @@ def _worst_point(name: str, grid, reference, value, tolerance: float) -> CheckRe
 
 
 def closed_vs_chain(solution: closedform.Solution, points: int = 101) -> VerificationReport:
-    """Closed-form psi12/psi21 against the exact loop-12 propagator chain and its mirror.
+    """Closed-form psi12/psi21 against those of the loop-12 chain's record, ``intensity.loop_coefficients``,
+    both from one evaluator: a deviation is the records' difference, never two evaluators' rounding.
 
-    Deviations are normalized by the largest chain magnitude on the grid. The
-    chain carries the opposite global sign (see closedform.CHAIN_SIGN).
+    Deviations are normalized by the largest chain magnitude on the grid.
     """
-    coeffs = solution.coeffs
-    grid = intensity.default_grid(coeffs, points)
-    looped = gaussians.chain_exotic("12", solution.config)
-
-    report = VerificationReport()
-    for loop, form, closed_fn in (("12", looped, closedform.psi12), ("21", looped.mirrored(), closedform.psi21)):
-        closed = closedform.CHAIN_SIGN * closed_fn(grid, coeffs)
-        report.add(_worst_point(f"closed-vs-chain/loop{loop}", grid, form.evaluate(grid), closed, DEFAULT_CHAIN_TOL))
-    return report
+    closed = solution.coeffs
+    grid = intensity.default_grid(closed, points)
+    looped = intensity.loop_coefficients(solution.config)
+    return VerificationReport([
+        _worst_point(f"closed-vs-chain/loop{loop}", grid, psi(grid, looped), psi(grid, closed), DEFAULT_CHAIN_TOL)
+        for loop, psi in (("12", closedform.psi12), ("21", closedform.psi21))
+    ])
 
 
 def chain_vs_quadrature(solution: closedform.Solution) -> VerificationReport:
-    """Propagator chain against direct 2-D quadrature of the loop integral; a quadrature
+    """The loop-12 chain's record against direct 2-D quadrature of the loop integral; a quadrature
     that does not converge fails the record with an infinite deviation."""
     name = "chain-vs-quadrature/loop12"
     grid = np.linspace(-1.7, 1.7, 5) * intensity.fringe_spacing(solution.coeffs)
 
-    chain = gaussians.chain_exotic("12", solution.config).evaluate(grid)
+    chain = closedform.CHAIN_SIGN * closedform.psi12(grid, intensity.loop_coefficients(solution.config))
     try:
         quad_vals = oracle.looped_path_value(solution.config, grid)
     except oracle.QuadratureError as exc:

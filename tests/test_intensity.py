@@ -302,3 +302,21 @@ def test_a_vanishing_gamma_has_no_fringe_scale(coeffs):
 def test_a_grid_needs_a_point(coeffs):
     with pytest.raises(ProfileError, match="at least one point"):
         default_grid(coeffs, points=0)
+
+
+@pytest.mark.parametrize("points", [[0.0, np.nan, 1.0], [np.nan], [-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf]])
+def test_a_profile_on_a_grid_that_is_not_finite_is_refused(points):
+    # NaN compares neither way, and -inf, 0, inf increases strictly
+    with pytest.raises(ProfileError, match="grid must be finite and strictly increasing"):
+        IntensityProfile(np.array(points), np.zeros(len(points)), "x", "raw")
+
+
+def test_a_profile_beyond_the_float_range_is_refused(coeffs, grid):
+    with pytest.raises(ProfileError, match="the elt profile is not finite on this grid"):
+        elt_intensity(grid, dataclasses.replace(coeffs, amplitude=1e300), "raw")
+
+
+def test_a_window_whose_peak_overflows_is_refused(config, coeffs):
+    # C1 < 0: the envelope grows away from the centre, and the window's largest intensity is inf
+    with pytest.raises(ProfileError, match="window intensity without a finite positive peak"):
+        intensity.aggregate_visibility(dataclasses.replace(coeffs, c1=-1e6 * coeffs.c1), config)

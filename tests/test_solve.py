@@ -149,3 +149,35 @@ def test_every_command_runs_without_scipy(config_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stderr.splitlines()[-1]) == [0, 0, 0, 0], done.stderr
+
+
+SWEPT = {
+    "d": np.linspace(90e-9, 360e-9, 200),
+    "t": np.linspace(2e-6, 2e-4, 200),
+    "tau": np.linspace(2e-6, 2e-4, 200),
+    "beta": np.linspace(1e-9, 1e-7, 200),
+    "sigma0": np.linspace(1e-9, 1e-7, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_a_swept_solve_matches_each_row_solved_alone(name):
+    values = SWEPT[name]
+    swept = closedform.solve(rubidium_config(**{name: values}))
+
+    def row(record, i):  # a field that does not depend on the swept one stays a scalar
+        return {key: np.broadcast_to(value, values.shape)[i] for key, value in vars(record).items()}
+
+    for i, value in enumerate(values):
+        one = closedform.solve(rubidium_config(**{name: float(value)}))
+        coeffs = row(swept.coeffs, i)
+        for key, want in vars(one.coeffs).items():
+            if key != "c3":
+                assert coeffs[key] == pytest.approx(want, rel=1e-14, abs=0), (key, value)
+        # C3 is a sum of terms much larger than itself where d/beta is large: compare on the terms' scale
+        terms = closedform.constant_coefficient_terms(one.ztable, one.config, one.derived)
+        assert abs(coeffs["c3"] - one.coeffs.c3) <= 1e-15 * sum(abs(term.real) for term in terms.values()), value
+        ztable = row(swept.ztable, i)
+        for key, want in vars(one.ztable).items():
+            assert ztable[key] == pytest.approx(want, rel=1e-13, abs=0), (key, value)
+        assert row(swept.derived, i) == vars(one.derived), value
