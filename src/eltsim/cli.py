@@ -40,6 +40,13 @@ alone) is Python's ``%`` text whole, row by row. Every other block is
 written straight into its final bytes, each column in slots of one width;
 only a block in which some number leaves part of its slot unused (a column
 of both signs or of two- and three-digit exponents) is compacted after.
+``profile_csv`` writes a profile that is even bit for bit, as every
+default-grid profile is (``intensity`` module docstring), from its x < 0
+half: each x > 0 block is the byte buffer of its mirror block, rows
+reversed and x's sign byte dropped, compacted where that block was. It holds
+those buffers, about 35 bytes per grid point, until the second half is
+written. No block of such a profile crosses x = 0; a custom grid through 0
+is written block by block, and its block where x crosses 0 is compacted.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 """
 
@@ -73,6 +80,7 @@ MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 SWEEP_CHUNK = 256  # configurations per visibility and CSV block; each (SWEEP_CHUNK x 121) lattice array is 248 kB
 PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 MB tracemalloc peak (budget 2 MB)
+# per csv_block call; an even profile's x < 0 buffers are held beside it, 7 MB at 200001 points (8.4 MB peak)
 
 # ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
@@ -222,16 +230,13 @@ def _digits(x: np.ndarray):
     return row, _LEAD.take(lead), _DIGITS4.take(quads).view("V16").ravel()
 
 
-def csv_block(*columns) -> str:
-    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
-    the same bytes as Python's ``%``, made a block at a time in numpy."""
-    x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
+def _layout(x: np.ndarray):
+    """The (columns x rows) block ``x``, rows > 0, laid out in one (rows x row width) byte buffer, and whether
+    some slot of it left a 0 byte; None where ``_digits`` is."""
     width, rows = x.shape
-    if not rows:
-        return ""  # an empty buffer holds no strided view
     parts = _digits(x.ravel())
-    if parts is None:  # a number the layout cannot settle: the whole block is Python's % text
-        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist())
+    if parts is None:
+        return None
     row, lead, digits = (part.reshape(width, rows) for part in parts)
     negative = np.signbit(x)
     long = np.abs(row + _E_MIN) >= 100  # a three-digit exponent
@@ -248,9 +253,24 @@ def csv_block(*columns) -> str:
         exponent = (_EXPONENT5 if three else _EXPONENT4).take(row[c])
         _run(buf, at + 18, exponent.dtype)[:] = exponent
     buf[:, np.subtract(start[1:], 1)] = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)  # the separators
-    if negative.all(axis=1).tolist() != signed or long.all(axis=1).tolist() != wide:  # a slot left a 0 byte
-        buf = buf[buf != 0]
-    return str(buf.data, "ascii")
+    return buf, negative.all(axis=1).tolist() != signed or long.all(axis=1).tolist() != wide
+
+
+def _text(buf: np.ndarray, compact: bool) -> str:
+    """A laid-out buffer's text, its 0 bytes dropped where ``compact`` says a slot left some."""
+    return str((buf[buf != 0] if compact else np.ascontiguousarray(buf)).data, "ascii")
+
+
+def csv_block(*columns) -> str:
+    """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
+    the same bytes as Python's ``%``, made a block at a time in numpy."""
+    x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
+    if not x.shape[1]:
+        return ""  # an empty buffer holds no strided view
+    laid = _layout(x)
+    if laid is None:  # a number the layout cannot settle: the whole block is Python's % text
+        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist())
+    return _text(*laid)
 
 
 def _warn(config: PhysicsConfig):
@@ -341,13 +361,36 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.
 
 
 def profile_csv(profile: intensity.IntensityProfile):
-    """The profile's CSV text: the header, then ``PROFILE_BLOCK`` rows per block."""
+    """The profile's CSV text: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
+    is laid out from its first n//2 rows, x < 0, a block at a time; the rows x > 0 are those blocks' buffers
+    in reverse order without x's sign byte, after the centre row of an odd n. Those buffers are held until
+    the second half is written, about 35 bytes per point."""
     vis = 0.0 if profile.visibility is None else profile.visibility
-    grid, values, vis = np.broadcast_arrays(profile.grid, profile.values, vis)
+    grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
     yield "x_m,intensity,visibility_pointwise\n"
-    for start in range(0, grid.size, PROFILE_BLOCK):
-        rows = slice(start, start + PROFILE_BLOCK)
-        yield csv_block(grid[rows], values[rows], vis[rows])
+    n, m = grid.size, grid.size // 2
+    even = np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
+        np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))
+    if not even:
+        for start in range(0, n, PROFILE_BLOCK):
+            rows = slice(start, start + PROFILE_BLOCK)
+            yield csv_block(grid[rows], values[rows], vis[rows])
+        return
+    held = []  # per block of x < 0: its rows, and its buffer, or None for Python's % text
+    for start in range(0, m, PROFILE_BLOCK):
+        rows = slice(start, min(start + PROFILE_BLOCK, m))
+        laid = _layout(np.stack([grid[rows], values[rows], vis[rows]]))
+        held.append((rows, laid))
+        yield csv_block(grid[rows], values[rows], vis[rows]) if laid is None else _text(*laid)
+    if n % 2:
+        yield csv_block(grid[m : m + 1], values[m : m + 1], vis[m : m + 1])
+    for rows, laid in reversed(held):  # x > 0: every number as at -x, less x's sign, the first byte of a row
+        if laid is None:
+            mirror = slice(n - rows.stop, n - rows.start)
+            yield csv_block(grid[mirror], values[mirror], vis[mirror])
+        else:
+            buf, compact = laid
+            yield _text(buf[::-1, 1:], compact)
 
 
 def cmd_intensity(args, config: PhysicsConfig):

@@ -353,10 +353,11 @@ def solve(config: PhysicsConfig) -> Solution:
 def psi12(x, coeffs: EltCoefficients):
     """Clockwise-loop wavefunction at screen position x (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    out = coeffs.amplitude * np.exp(
-        -coeffs.c1 * x * x + coeffs.c2 * x + coeffs.c3
-        + 1j * (coeffs.alpha * x * x + coeffs.gamma * x + coeffs.theta + coeffs.mu)
-    )
+    with np.errstate(all="ignore"):  # a value out of the float range is nan or inf, and verification names it
+        out = coeffs.amplitude * np.exp(
+            -coeffs.c1 * x * x + coeffs.c2 * x + coeffs.c3
+            + 1j * (coeffs.alpha * x * x + coeffs.gamma * x + coeffs.theta + coeffs.mu)
+        )
     return complex(out) if out.ndim == 0 else out
 
 

@@ -16,6 +16,13 @@ is >= 0, so nothing is clamped; e^(i phi/2) is 1 or i where alpha beta* is real,
 cos^2(gamma x) and an antifringe sin^2(gamma x), exactly 0 on its node. ``elt`` is the loop block
 with unit weights. Each profile holds one configuration, on a 1-D grid.
 
+At -x a term's alpha and beta trade places, so a block is even in x where its density is invariant under the
+slit exchange 1 <-> 2, 12 <-> 21: w11 = sum |alpha|^2 equals w22 = sum |beta|^2 and w12 = sum alpha beta* is
+real. Every named branch's density is, exactly, and ``default_grid`` is symmetric bit for bit. Where both
+hold (``_even``, and the grid's first n//2 points are its last n//2 negated) a profile is evaluated on its
+last n - n//2 points, x >= 0, and its first n//2 are their mirror; normalization then reads the whole
+profile. Any other grid (``--grid-min/--grid-max``) or density is evaluated at every point.
+
 ``eltsim sweep`` reads no profile. ``aggregate_visibility`` scores a block
 of configurations on one shared fringe lattice, x = k h with
 h = pi/|gamma|/80 and |k| <= 120: on it cos(2 gamma x) = cos(pi k/40) is one
@@ -127,30 +134,45 @@ def _terms(grid, block, pairs):
         yield e, bracket, q
 
 
+def _even(pairs) -> bool:
+    """Whether a block's terms sum to a density the slit exchange 1 <-> 2, 12 <-> 21 leaves as it is: w11 == w22
+    and w12 = sum alpha beta* real, summed in one order on both sides, so the test is exact."""
+    w11 = sum(abs(alpha) ** 2 for alpha, _ in pairs)
+    w22 = sum(abs(beta) ** 2 for _, beta in pairs)
+    return w11 == w22 and not sum(alpha * beta.conjugate() for alpha, beta in pairs).imag
+
+
 def _profile(grid, blocks, normalization, label) -> IntensityProfile:
     """The sum of the terms of ``blocks``, (coefficients, amplitude pairs) each, as exp(E + ln bracket): a node is 0
     whatever its envelope. ``peak`` and ``area`` shift every exponent by the profile's own largest log-value, so
-    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E."""
+    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E.
+    On a grid symmetric bit for bit, of blocks each ``_even``, the profile is even: its last n - n//2 points,
+    x >= 0, are evaluated and the first n//2 are their mirror."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ProfileError("empty grid")
     if normalization not in NORMALIZATIONS:
         raise ProfileError(f"unknown normalization {normalization!r}")
+    m = grid.size // 2
+    mirror = np.array_equal(grid[:m], -grid[::-1][:m]) and all(_even(pairs) for _, pairs in blocks)
+    x = grid[m:] if mirror else grid
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a profile that is not finite is named
         # a density without a weight has one term, 0 everywhere
-        terms = [term for block, pairs in blocks for term in _terms(grid, block, pairs)] or [(grid - np.inf, None, 0.0)]
+        terms = [term for block, pairs in blocks for term in _terms(x, block, pairs)] or [(x - np.inf, None, 0.0)]
         if len(terms) == 1:  # whatever the term's scale
-            vis = np.broadcast_to(2.0 * terms[0][2] / (terms[0][2] ** 2 + 1.0), grid.shape)
+            vis = np.broadcast_to(2.0 * terms[0][2] / (terms[0][2] ** 2 + 1.0), x.shape)
         else:  # the diagonals and cross terms shifted by the largest E at each point
             top = functools.reduce(np.maximum, [e for e, _, _ in terms])
             cross = diag = 0.0
             for e, _, q in terms:
                 weight = np.exp(e - top)
                 cross, diag = cross + 2.0 * q * weight, diag + (q * q + 1.0) * weight
-            vis = np.divide(cross, diag, out=np.zeros_like(grid), where=diag > 0)
+            vis = np.divide(cross, diag, out=np.zeros_like(x), where=diag > 0)
         logs = [e if b is None else np.add(np.log(b, out=b), e, out=b) for e, b, _ in terms]  # E + ln bracket
         shift = 0.0 if normalization == "raw" else np.nan_to_num(max(map(np.max, logs)), neginf=0.0)  # 0 stays 0
         values = functools.reduce(np.add, [np.exp(np.subtract(log, shift, out=log), out=log) for log in logs])
+    if mirror:
+        values, vis = (np.concatenate([half[::-1][:m], half]) for half in (values, vis))
     if not np.isfinite(values).all():
         raise ProfileError(f"the {label} profile is not finite on this grid")
     if normalization != "raw":
@@ -204,7 +226,10 @@ def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.n
     """Grid spanning +/- 5 fringe spacings pi/|gamma|, symmetric bit for bit: an odd grid's centre is 0."""
     if coeffs.gamma == 0:
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
-    half = 5.0 * np.pi / np.abs(coeffs.gamma)
+    with np.errstate(over="ignore"):
+        half = 5.0 * np.pi / np.abs(coeffs.gamma)
+    if not half <= 0.5 * np.finfo(float).max:  # the span 2 half is a float too
+        raise ProfileError(f"gamma = {coeffs.gamma!r} is too small: the grid half-width 5 pi/|gamma| leaves the float range")
     if points < 1:
         raise ProfileError("grid needs at least one point")
     grid = np.linspace(-half, half, points)

@@ -89,19 +89,20 @@ def looped_path_value(config: PhysicsConfig, x):
     converged = np.zeros(len(points), dtype=complex)
     pending = np.ones(len(points), dtype=bool)
     previous = None
-    for order in _ORDERS:
-        nodes, weights = _gauss_legendre(order)
-        x1 = d / 2.0 + half * nodes
-        x2 = -d / 2.0 + half * nodes
-        left = weights * _spread_packet(x1, config) * slit(x1, d / 2.0)
-        segment = np.exp(1j * lam_half * (x2[None, :] - x1[:, None]) ** 2)
-        right = weights * slit(x2, -d / 2.0) * tail(x2)
-        value = half * half * (right @ (left @ segment))
-        if previous is not None:
-            agree = pending & (np.abs(value - previous) <= LOOP_REL_TOL * np.abs(value) + QUAD_ABS_TOL)
-            converged[agree] = value[agree]
-            pending &= ~agree
-            if not pending.any():
-                return (loop_pref * converged).reshape(screen.shape)[()]  # [()] unwraps a scalar x
-        previous = value
+    with np.errstate(all="ignore"):  # a value out of the float range is nan or inf, and verification names it
+        for order in _ORDERS:
+            nodes, weights = _gauss_legendre(order)
+            x1 = d / 2.0 + half * nodes
+            x2 = -d / 2.0 + half * nodes
+            left = weights * _spread_packet(x1, config) * slit(x1, d / 2.0)
+            segment = np.exp(1j * lam_half * (x2[None, :] - x1[:, None]) ** 2)
+            right = weights * slit(x2, -d / 2.0) * tail(x2)
+            value = half * half * (right @ (left @ segment))
+            if previous is not None:
+                agree = pending & (np.abs(value - previous) <= LOOP_REL_TOL * np.abs(value) + QUAD_ABS_TOL)
+                converged[agree] = value[agree]
+                pending &= ~agree
+                if not pending.any():
+                    return (loop_pref * converged).reshape(screen.shape)[()]  # [()] unwraps a scalar x
+            previous = value
     raise QuadratureError(f"looped-path quadrature did not converge by order {_ORDERS[-1]}")

@@ -165,3 +165,24 @@ def test_a_long_first_flight_gets_one_verdict_from_every_command(tmp_path, capsy
     captured = capsys.readouterr()
     assert codes == [0, 0, 0, 0], captured.err
     assert "verification PASSED\n" in captured.out
+
+
+def test_verify_at_a_huge_slit_width_fails_by_name_without_a_warning(tmp_path, capsys):
+    # at beta = 1e100 m psi12's exponent and the quadrature's integrands leave the float range: nan, named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(_config(tmp_path, beta_m="1e100"))])
+    captured = capsys.readouterr()
+    assert code == 3 and "Warning" not in captured.err
+    for record in ("closed-vs-chain/loop12", "closed-vs-chain/loop21", "chain-vs-quadrature/loop12"):
+        assert f"[FAIL] {record}: deviation nan " in captured.out
+
+
+@pytest.mark.parametrize("command", [["verify", "--skip-quadrature"], ["intensity", "--grid-points", "3"]])
+def test_a_grid_wider_than_the_float_range_is_named(tmp_path, capsys, command):
+    # at beta = 1e152 m gamma is subnormal, about -1e-314 1/m, and 5 pi/|gamma| is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], "--config", str(_config(tmp_path, beta_m="1e152")), *command[1:]])
+    assert code == 2
+    assert "the grid half-width 5 pi/|gamma| leaves the float range" in capsys.readouterr().err
