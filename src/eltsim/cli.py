@@ -2,13 +2,13 @@
 
 Each ``cmd_*`` returns its exit code, its text as an iterable of string
 blocks, the closed-form solution of its configuration (``closedform.solve``)
-and its manifest fields. Every check that can fail on the whole output runs
-before the command returns; the blocks are then made as they are read.
-``intensity`` yields its CSV ``PROFILE_BLOCK`` rows at a time, ``sweep`` one
-block per ``SWEEP_CHUNK`` configurations, ``verify`` and ``states`` their
-whole report as one block; ``csv_block`` formats every CSV row. ``main``
-writes the blocks as they arrive to stdout, or with ``--out`` to
-``<out>.tmp``, then the reproducibility record from that solution to
+and its manifest fields. Every command runs every check before its first
+byte: the checks run before the command returns, and the blocks are then
+made as they are read. ``intensity`` yields its CSV ``PROFILE_BLOCK`` rows
+at a time, ``sweep`` ``SWEEP_BLOCK`` rows at a time, ``verify`` and
+``states`` their whole report as one block; ``csv_block`` formats every CSV
+row. ``main`` writes the blocks as they arrive to stdout, or with ``--out``
+to ``<out>.tmp``, then the reproducibility record from that solution to
 ``<out>.manifest.json.tmp``, and moves both into place only when both are
 complete, after refusing a target that is a directory: a failing command
 leaves no new file (a file already at a staging name is overwritten, then
@@ -19,9 +19,11 @@ and the quadrature oracle. ``intensity`` and ``sweep`` read
 the propagator chain, so they accept a nonzero ``eta``. ``sweep`` reads
 every swept value off one array chain and builds no profile:
 ``intensity.aggregate_visibility`` scores ``SWEEP_CHUNK`` configurations at a
-time on the fringe lattice they all share, and each chunk is one CSV block.
-The chunk only spreads the fixed cost of a block's numpy calls: no row and no
-byte of the output depends on its size.
+time on the fringe lattice they all share, into one visibility column that
+is complete before the command returns, so a failing row exits 2 before any
+byte is written, on stdout as with ``--out``. Chunk and block sizes only
+spread the fixed cost of a block's numpy calls: no row and no byte of the
+output depends on them.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. The parser owns the choices: an unknown
@@ -29,8 +31,7 @@ branch, measurement or sweep parameter is argparse's exit 2 with its usage
 text, and ``--config`` and ``--out`` are declared once, for every
 subcommand. A flag's negative value may follow it after a space, exponent
 and all: ``--grid-min -1e-6`` is ``--grid-min=-1e-6``.
-On stdout, a sweep chunk whose visibility fails exits 2 after the blocks
-before it were written. CSV numbers use scientific notation with 17
+CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
 ``csv_block`` makes each block's text in numpy, byte for byte the text of
 ``"%.16e" % x``, from a double-double scaling in float64 alone that is the
@@ -78,7 +79,10 @@ _FMT = "%.16e"  # 17 significant digits
 BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
-SWEEP_CHUNK = 256  # configurations per visibility and CSV block; each (SWEEP_CHUNK x 121) lattice array is 248 kB
+SWEEP_CHUNK = 256  # configurations per visibility block; each (SWEEP_CHUNK x 121) lattice array is 248 kB
+SWEEP_BLOCK = 1024  # sweep CSV rows per block: a block's ~80 numpy calls cost more than 256 rows of numbers. A warm
+# 2000-step sweep took 10.1 ms at 256 rows, 9.0 ms at 1024 (1.13 MB tracemalloc peak) and 8.7 ms at 2048, at 1.69 MB
+# over the 1.42 MB budget of tests/test_cli.py::test_sweep_block_memory_budget (medians, 2-vCPU shared machine)
 PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 MB tracemalloc peak (budget 2 MB)
 # per csv_block call; an even profile's x < 0 buffers are held beside it, 7 MB at 200001 points (8.4 MB peak)
 
@@ -479,13 +483,17 @@ def cmd_sweep(args, config: PhysicsConfig):
     coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any row
     spacing = intensity.fringe_spacing(coeffs)
 
-    def blocks():  # a chunk's visibility may still fail, after the blocks before it are written
+    agg = np.empty(values.shape)  # every row is scored before the first byte: a failing row names its swept value
+    for start in range(0, values.size, SWEEP_CHUNK):
+        chunk = slice(start, start + SWEEP_CHUNK)
+        block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
+        agg[chunk] = intensity.aggregate_visibility(block, swept_rows(swept, chunk))
+
+    def blocks():
         yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
-        for start in range(0, values.size, SWEEP_CHUNK):  # one visibility block and one CSV block per chunk
-            chunk = slice(start, start + SWEEP_CHUNK)
-            block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
-            agg = intensity.aggregate_visibility(block, swept_rows(swept, chunk))  # names a failing row's swept value
-            yield csv_block(values[chunk], epsilon[chunk], block.gamma, spacing[chunk], agg, block.mu)
+        for start in range(0, values.size, SWEEP_BLOCK):
+            rows = slice(start, start + SWEEP_BLOCK)
+            yield csv_block(values[rows], epsilon[rows], coeffs.gamma[rows], spacing[rows], agg[rows], coeffs.mu[rows])
 
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, blocks(), _reference(args, config), extra

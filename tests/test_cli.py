@@ -610,8 +610,20 @@ def test_sweep_failing_in_a_later_chunk(config_path, tmp_path, capsys, monkeypat
     assert "injected failure in the second chunk" in captured.err
     assert sorted(tmp_path.iterdir()) == before
     assert out.read_text() == "an earlier result\n"
-    # with --out nothing is written; on stdout the header and the first chunk's rows already are
-    assert len(captured.out.splitlines()) == (0 if to_file else 1 + SWEEP_CHUNK)
+    # every row is scored before the first byte: nothing is written, with --out or on stdout
+    assert len(captured.out.splitlines()) == 0
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_with_a_failing_row_writes_no_byte(config_path, tmp_path, capsys, to_file):
+    # C1 h^2 overflows at beta = 5e+79: the visibility window has no finite peak shift, named before the header
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config_path, "--parameter", "beta", "--range", "1e60", "1e80", "--steps", "3"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no finite peak shift of the visibility window at beta = 5e+79: " in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_sweep_memory_does_not_hold_the_csv(config_path, tmp_path):
@@ -629,8 +641,10 @@ def test_sweep_memory_does_not_hold_the_csv(config_path, tmp_path):
 
 
 def test_sweep_block_memory_budget(config_path, tmp_path):
-    # the peak is one SWEEP_CHUNK block: 1.13 MB at 256 rows with the lattice scored in place (1.49 MB with a
-    # fresh temporary per step, 1.51 MB at 384 rows), so a larger block fails here rather than in peak RSS
+    # every row is scored before the first byte, into a column of 8 B per row; the peak is one SWEEP_CHUNK
+    # visibility block or one SWEEP_BLOCK CSV block: 1.13 MB at 256 and 1024 rows with the lattice scored in place
+    # (1.49 MB with a fresh temporary per step, 1.51 MB at 384 visibility rows, 1.70 MB at 2048 CSV rows), so a
+    # larger block fails here rather than in peak RSS
     argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
     argv += ["--steps", "2000", "--out", str(tmp_path / "sweep.csv")]
     assert main(argv) == 0  # warm: a first run in a fresh process also traces about 0.16 MB of one-time allocations

@@ -103,8 +103,10 @@ def test_an_antifringe_node_is_written_as_an_exact_zero(tmp_path, raw):
     assert min(row[1] for row in rows[:50] + rows[51:]) > 0.0
 
 
-# the decades (every 4th) at which the expanded coefficient terms raised from a Python float ** or /
+# the decades (every 4th) at which the expanded coefficient terms raised from a Python float ** or /, and
+# beta's, at which verify's wavefunction evaluation warned
 _FORMERLY_RAISING = {
+    "beta_m": list(range(72, 149, 4)),
     "mass_kg": [*range(-104, -59, 4), *range(60, 97, 4)],
     "hbar_Js": [*range(-104, -75, 4), *range(44, 101, 4)],
     "sigma0_m": list(range(76, 149, 4)),
@@ -114,7 +116,6 @@ _FORMERLY_RAISING = {
 
 @pytest.mark.parametrize("key", sorted(_FORMERLY_RAISING))
 def test_verify_gives_a_verdict_where_a_term_leaves_the_float_range(tmp_path, capsys, key):
-    # beta is left out: from 1e72 m on, the chain evaluation still warns
     for decade in _FORMERLY_RAISING[key]:
         config = _config(tmp_path, **{key: f"1e{decade}"})
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """The batched sweep: every row equals the one-configuration path."""
 
 import dataclasses
+import itertools
 import sys
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import references
 from eltsim import cli, closedform, gaussians, intensity, params
-from eltsim.cli import SWEEP_CHUNK, SWEEP_PARAMETERS, build_parser, cmd_sweep, main
+from eltsim.cli import SWEEP_BLOCK, SWEEP_CHUNK, SWEEP_PARAMETERS, build_parser, cmd_sweep, main
 from eltsim.closedform import DegenerateConfigError
 from eltsim.params import rubidium_config, swept_rows
 
@@ -82,9 +83,10 @@ def test_block_size_is_a_pure_performance_setting(tmp_path, monkeypatch, capsys,
     argv = ["sweep", "--config", str(config), "--parameter", parameter, "--range", repr(base / 3), repr(base * 3)]
     argv += ["--steps", "600"]
     texts = set()
-    for chunk in (1, 7, 32, SWEEP_CHUNK):
+    for chunk, block in itertools.product((1, 7, 32, SWEEP_CHUNK), (1, 7, SWEEP_CHUNK, SWEEP_BLOCK)):
         monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
-        out = tmp_path / f"sweep{chunk}.csv"
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        out = tmp_path / f"sweep{chunk}-{block}.csv"
         assert main(argv) == 0
         assert main(argv + ["--out", str(out)]) == 0
         stdout = capsys.readouterr().out
