@@ -16,14 +16,16 @@ removed). ``verify`` solves once,
 every other command only with ``--out``; its report renders its own verdict
 and worst-offender line, and only ``verify`` imports the verification layers
 and the quadrature oracle. ``intensity`` and ``sweep`` read
-the propagator chain, so they accept a nonzero ``eta``. ``sweep`` reads
-every swept value off one array chain and builds no profile:
-``intensity.aggregate_visibility`` scores ``SWEEP_CHUNK`` configurations at a
-time on the fringe lattice they all share, into one visibility column that
-is complete before the command returns, so a failing row exits 2 before any
-byte is written, on stdout as with ``--out``. Chunk and block sizes only
-spread the fixed cost of a block's numpy calls: no row and no byte of the
-output depends on them.
+the propagator chain, so they accept a nonzero ``eta``. ``sweep`` range-checks
+every swept value, then reads them off one array chain per ``SWEEP_CHAIN``
+rows and builds no profile: ``intensity.aggregate_visibility`` scores
+``SWEEP_CHUNK`` configurations of a chain at a time on the fringe lattice
+they all share. Only the columns the CSV writes are kept, and they are
+complete before the command returns, so a row at which a chain degenerates
+or whose visibility fails exits 2 before any byte is written, on stdout as
+with ``--out``; the first failing chain block names its error. Chain, chunk
+and block sizes only spread the fixed cost of a block's numpy calls: no row
+and no byte of the output depends on them.
 
 Exit codes: 0 success, 2 configuration error (including bad flags), 3
 verification failure, 4 I/O error. The parser owns the choices: an unknown
@@ -80,11 +82,17 @@ BRANCHES = ("elt", "ground", "full", "fringes", "antifringes")
 MEASUREMENTS = ("bell", "internal", "none")
 SWEEP_PARAMETERS = ("sigma0", "beta", "d", "t", "tau")
 SWEEP_CHUNK = 256  # configurations per visibility block; each (SWEEP_CHUNK x 121) lattice array is 248 kB
+SWEEP_CHAIN = 4096  # configurations per loop-12 chain: a 2000-step sweep still builds one (0.43 ms; 1.5 ms as 256-row
+# chains), and 200000 steps take 51 ms against 76 ms as one chain (medians, 2-vCPU shared machine). Chains of 4096 and
+# 8192 rows give every row the bits of a one-step sweep at its value; numpy 2.4 on x86-64 rounds some complex products
+# of a chain of 16384 or more otherwise, and a 200000-step chain wrote another last digit of mu_et_rad in 32% of rows
 SWEEP_BLOCK = 1024  # sweep CSV rows per block: a block's ~80 numpy calls cost more than 256 rows of numbers. A warm
 # 2000-step sweep took 10.1 ms at 256 rows, 9.0 ms at 1024 (1.13 MB tracemalloc peak) and 8.7 ms at 2048, at 1.69 MB
 # over the 1.42 MB budget of tests/test_cli.py::test_sweep_block_memory_budget (medians, 2-vCPU shared machine)
 PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 MB tracemalloc peak (budget 2 MB)
-# per csv_block call; an even profile's x < 0 buffers are held beside it, 7 MB at 200001 points (8.4 MB peak)
+# per csv_block call; an even profile's x < 0 buffers are held beside it, 7 MB at 200001 points (8.4 MB peak). The
+# profile's own evaluation peaks lower, 7.2 MB for full and 5.0 MB for elt at 200001 points, so the writer sets the
+# peak of a dense intensity command
 
 # ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
@@ -480,20 +488,24 @@ def cmd_sweep(args, config: PhysicsConfig):
     _warn(swept)  # derives every value first: a value out of range is named before any row is made
     # epsilon depends on d and sigma0 only, so it may be one value for all rows
     epsilon = np.broadcast_to(derive(swept).epsilon, values.shape)
-    coeffs = intensity.loop_coefficients(swept)  # one chain: a value at which it degenerates is named before any row
-    spacing = intensity.fringe_spacing(coeffs)
-
-    agg = np.empty(values.shape)  # every row is scored before the first byte: a failing row names its swept value
-    for start in range(0, values.size, SWEEP_CHUNK):
-        chunk = slice(start, start + SWEEP_CHUNK)
-        block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
-        agg[chunk] = intensity.aggregate_visibility(block, swept_rows(swept, chunk))
+    # every row is scored before the first byte, SWEEP_CHAIN rows per loop-12 chain: a row at which the chain
+    # degenerates, or whose visibility fails, names its swept value; only the columns the CSV writes are kept
+    gamma, spacing, agg, mu = (np.empty(values.shape) for _ in range(4))
+    for first in range(0, values.size, SWEEP_CHAIN):
+        rows = slice(first, first + SWEEP_CHAIN)
+        part = swept_rows(swept, rows)
+        coeffs = intensity.loop_coefficients(part)
+        gamma[rows], spacing[rows], mu[rows] = coeffs.gamma, intensity.fringe_spacing(coeffs), coeffs.mu
+        for start in range(0, coeffs.gamma.size, SWEEP_CHUNK):
+            chunk = slice(start, start + SWEEP_CHUNK)
+            block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
+            agg[rows][chunk] = intensity.aggregate_visibility(block, swept_rows(part, chunk))
 
     def blocks():
         yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
         for start in range(0, values.size, SWEEP_BLOCK):
             rows = slice(start, start + SWEEP_BLOCK)
-            yield csv_block(values[rows], epsilon[rows], coeffs.gamma[rows], spacing[rows], agg[rows], coeffs.mu[rows])
+            yield csv_block(values[rows], epsilon[rows], gamma[rows], spacing[rows], agg[rows], mu[rows])
 
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, blocks(), _reference(args, config), extra

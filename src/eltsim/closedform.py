@@ -14,7 +14,8 @@ is computed twice: from a compact complex expression (authoritative) and from
 the expanded real/imaginary component formulas (cross-check). Keeping both
 routes contains transcription errors; the verifier reports any per-term
 disagreement by name. ``solve`` is the one place that turns a configuration
-into its derived kinematics, z-table and coefficients; it broadcasts over a
+into its derived kinematics, z-table and coefficients, each loop segment at
+epsilon + eta (``loop_kinematics``) as in the chain; it broadcasts over a
 configuration whose swept field is a 1-D array (``params.swept``), and its
 guards name the first swept value that trips them.
 
@@ -22,13 +23,13 @@ Nothing on the hot path reads the closed form: every profile and sweep row
 comes from the propagator chain of :mod:`eltsim.gaussians`. The closed form
 is the reference that verification checks the chain's record against, both
 evaluated by ``psi12``/``psi21`` (the chain is exactly ``CHAIN_SIGN`` times
-psi12, for eta = 0), and the coefficient record of every manifest.
+psi12, at every eta), and the coefficient record of every manifest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,8 +81,9 @@ class EltCoefficients:
 
 
 def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
-    """z-table for eta = 0; the recursion mirrors the chain stage by stage. No z_k
-    vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a positive real part."""
+    """z-table at the loop segment time ``derived.epsilon`` (``solve`` passes epsilon + eta); the recursion
+    mirrors the chain stage by stage. No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a
+    positive real part."""
     m, hbar = config.mass, config.hbar
     t, tau, eps = config.t, config.tau, derived.epsilon
     lam = m / (2.0 * hbar * eps)  # per-segment loop-kernel wavenumber scale
@@ -342,12 +344,19 @@ class Solution:
     coeffs: EltCoefficients
 
 
+def loop_kinematics(config: PhysicsConfig, derived: DerivedQuantities) -> DerivedQuantities:
+    """The kinematics the z-table and coefficients are built from: each loop segment spans epsilon + eta, as in
+    the chain (``gaussians.chain_exotic``) and the oracle; ``Solution.derived`` keeps epsilon itself."""
+    return replace(derived, epsilon=derived.epsilon + config.eta)
+
+
 def solve(config: PhysicsConfig) -> Solution:
     """derive -> build_ztable -> build_coefficients for one configuration, or
-    for every value of an array-valued field at once."""
+    for every value of an array-valued field at once; the loop terms at epsilon + eta."""
     derived = derive(config)
-    zt = build_ztable(config, derived)
-    return Solution(config, derived, zt, build_coefficients(zt, config, derived))
+    loop = loop_kinematics(config, derived)
+    zt = build_ztable(config, loop)
+    return Solution(config, derived, zt, build_coefficients(zt, config, loop))
 
 
 def psi12(x, coeffs: EltCoefficients):

@@ -23,6 +23,12 @@ hold (``_even``, and the grid's first n//2 points are its last n//2 negated) a p
 last n - n//2 points, x >= 0, and its first n//2 are their mirror; normalization then reads the whole
 profile. Any other grid (``--grid-min/--grid-max``) or density is evaluated at every point.
 
+The peak shift and the visibility's pointwise largest E are maxima over every term, so ``_sums`` reads the
+terms twice: the first pass takes each term's cos and log once and keeps only its log-value E + ln bracket,
+the second sums those and remakes each term's E and q, the cheap parts, for the visibility. A profile holds
+one array per term beside one term's temporaries: 7.2 MB for ``full``'s three terms on the 100001 evaluated
+points of a 200001-point grid (tracemalloc, grid excluded), where three arrays per term held 12.2 MB.
+
 ``eltsim sweep`` reads no profile. ``aggregate_visibility`` scores a block
 of configurations on one shared fringe lattice, x = k h with
 h = pi/|gamma|/80 and |k| <= 120: on it cos(2 gamma x) = cos(pi k/40) is one
@@ -35,7 +41,6 @@ peak shift is not finite, or whose coefficients overflow on the lattice.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -106,32 +111,45 @@ def _pairs(branch) -> tuple[list, list]:
     return pairs
 
 
-def _terms(grid, block, pairs):
-    """(E, bracket, q) per pair of one block (module docstring); a one-path pair has no bracket and q = 0."""
-    offset, c1, c2, gamma = block
-    u = np.square(grid)
-    u *= -2.0 * c1
-    u += 2.0 * offset
-    for alpha, beta in pairs:
-        e = grid * (2.0 * c2)  # v, then d, then E
-        if not (alpha and beta):  # |alpha|^2 e^(u+v) or |beta|^2 e^(u-v)
-            yield (u + e if alpha else u - e) + 2.0 * math.log(abs(alpha or beta)), None, 0.0
-            continue
-        ln_a, ln_b = math.log(abs(alpha)), math.log(abs(beta))
-        e += ln_a - ln_b
-        q = np.expm1(np.negative(np.abs(e, out=e)))  # q - 1, without cancelling near d = 0
+def _terms(grid, blocks, fringe=True):
+    """(E, q, E + ln bracket) per amplitude pair of ``blocks`` in order (module docstring), each made as it is read;
+    a one-path pair has q = 0 and no bracket, so its log-value is E. Without ``fringe`` no cos or log is taken and
+    the log-value is None: E and q are the cheap parts."""
+    for (offset, c1, c2, gamma), pairs in blocks:
+        u = np.square(grid)
+        u *= -2.0 * c1
+        u += 2.0 * offset
+        for alpha, beta in pairs:
+            yield _term(grid, u, c2, gamma, alpha, beta, fringe)
+
+
+def _term(grid, u, c2, gamma, alpha, beta, fringe):
+    """One term of ``_terms``."""
+    e = grid * (2.0 * c2)  # v, then d, then E
+    if not (alpha and beta):  # |alpha|^2 e^(u+v) or |beta|^2 e^(u-v)
+        (np.add if alpha else np.subtract)(u, e, out=e)
+        e += 2.0 * math.log(abs(alpha or beta))
+        return e, 0.0, e
+    ln_a, ln_b = math.log(abs(alpha)), math.log(abs(beta))
+    e += ln_a - ln_b
+    q = np.expm1(np.negative(np.abs(e, out=e), out=e))  # q - 1 at -d, without cancelling near d = 0
+    log = None
+    if fringe:
         z = alpha / abs(alpha) * (beta / abs(beta)).conjugate()  # no product of small amplitudes underflows
         half = cmath.sqrt(z / abs(z))
         t = grid * gamma  # cos^2(gamma x + phi/2) needs only cos or sin where alpha beta* is real
         cos = np.sin(t, out=t) if not half.real else np.cos(t, out=t) if not half.imag else (
             half.real * np.cos(t) - half.imag * np.sin(t))
-        bracket = np.square(cos, out=cos)
-        bracket *= 4.0 * q + 4.0
-        bracket += q * q
-        q += 1.0
-        e += u
-        e += ln_a + ln_b
-        yield e, bracket, q
+        log = np.square(cos, out=cos)  # the bracket, then its log
+        log *= 4.0 * q + 4.0
+        log += q * q
+        np.log(log, out=log)
+    q += 1.0
+    np.subtract(u, e, out=e)  # u + d, to the bit
+    e += ln_a + ln_b
+    if fringe:
+        log += e
+    return e, q, log
 
 
 def _even(pairs) -> bool:
@@ -142,10 +160,55 @@ def _even(pairs) -> bool:
     return w11 == w22 and not sum(alpha * beta.conjugate() for alpha, beta in pairs).imag
 
 
+def _sums(x, blocks, normalization, n):
+    """Intensity and pointwise visibility of ``_profile`` at x, the last x.size of n points; the first n - x.size
+    are left for the mirror. Both shifts are maxima, so two passes over the terms hold one term's temporaries at
+    a time: the first takes each term's cos and log once, keeps only its log-value E + ln bracket and folds in
+    both maxima; the second sums the log-values, then remakes each term's E and q, the cheap parts, for the
+    visibility. Every sum runs in the terms' order."""
+    count = sum(len(pairs) for _, pairs in blocks)
+    terms = _terms(x, blocks)
+    if not count:  # a density without a weight has one term, 0 everywhere
+        terms = [(x - np.inf, 0.0, x - np.inf)]
+    logs, largest = [], None
+    top = np.full(x.shape, -np.inf) if count > 1 else None  # the largest E at each point
+    for e, q, log in terms:
+        logs.append(log)
+        if top is None:  # one term, whatever its scale
+            alone = 2.0 * q / (q ** 2 + 1.0)
+        else:
+            np.maximum(top, e, out=top)
+        if normalization != "raw":  # the first largest, as max() takes it
+            high = np.max(log)
+            largest = high if largest is None or high > largest else largest
+        del e, q, log  # before the next term is made
+    shift = 0.0 if largest is None else np.nan_to_num(largest, neginf=0.0)  # 0 stays 0
+    values, at = np.empty(n), slice(n - x.size, n)
+    for i, log in enumerate(logs):  # in the terms' order
+        np.exp(np.subtract(log, shift, out=log), out=log if i else values[at])
+        if i:
+            values[at] += log
+    del logs, log
+    if top is None:
+        vis = np.empty(n)
+        vis[at] = alone
+        return values, vis
+    cross, diag = np.zeros(x.shape), np.zeros(x.shape)  # the diagonals and cross terms, shifted by top
+    for e, q, _ in _terms(x, blocks, fringe=False):
+        np.exp(np.subtract(e, top, out=e), out=e)
+        cross += 2.0 * q * e
+        diag += (q * q + 1.0) * e
+        del e, q
+    vis = np.zeros(n)
+    np.divide(cross, diag, out=vis[at], where=diag > 0)
+    return values, vis
+
+
 def _profile(grid, blocks, normalization, label) -> IntensityProfile:
     """The sum of the terms of ``blocks``, (coefficients, amplitude pairs) each, as exp(E + ln bracket): a node is 0
     whatever its envelope. ``peak`` and ``area`` shift every exponent by the profile's own largest log-value, so
-    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E.
+    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E, each term
+    shifted by the largest E at that point (``_sums``).
     On a grid symmetric bit for bit, of blocks each ``_even``, the profile is even: its last n - n//2 points,
     x >= 0, are evaluated and the first n//2 are their mirror."""
     grid = np.asarray(grid, dtype=float)
@@ -155,24 +218,11 @@ def _profile(grid, blocks, normalization, label) -> IntensityProfile:
         raise ProfileError(f"unknown normalization {normalization!r}")
     m = grid.size // 2
     mirror = np.array_equal(grid[:m], -grid[::-1][:m]) and all(_even(pairs) for _, pairs in blocks)
-    x = grid[m:] if mirror else grid
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a profile that is not finite is named
-        # a density without a weight has one term, 0 everywhere
-        terms = [term for block, pairs in blocks for term in _terms(x, block, pairs)] or [(x - np.inf, None, 0.0)]
-        if len(terms) == 1:  # whatever the term's scale
-            vis = np.broadcast_to(2.0 * terms[0][2] / (terms[0][2] ** 2 + 1.0), x.shape)
-        else:  # the diagonals and cross terms shifted by the largest E at each point
-            top = functools.reduce(np.maximum, [e for e, _, _ in terms])
-            cross = diag = 0.0
-            for e, _, q in terms:
-                weight = np.exp(e - top)
-                cross, diag = cross + 2.0 * q * weight, diag + (q * q + 1.0) * weight
-            vis = np.divide(cross, diag, out=np.zeros_like(x), where=diag > 0)
-        logs = [e if b is None else np.add(np.log(b, out=b), e, out=b) for e, b, _ in terms]  # E + ln bracket
-        shift = 0.0 if normalization == "raw" else np.nan_to_num(max(map(np.max, logs)), neginf=0.0)  # 0 stays 0
-        values = functools.reduce(np.add, [np.exp(np.subtract(log, shift, out=log), out=log) for log in logs])
+        values, vis = _sums(grid[m:] if mirror else grid, blocks, normalization, grid.size)
     if mirror:
-        values, vis = (np.concatenate([half[::-1][:m], half]) for half in (values, vis))
+        for column in (values, vis):
+            column[:m] = column[m:][::-1][:m]
     if not np.isfinite(values).all():
         raise ProfileError(f"the {label} profile is not finite on this grid")
     if normalization != "raw":

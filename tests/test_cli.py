@@ -657,6 +657,42 @@ def test_sweep_block_memory_budget(config_path, tmp_path):
     assert peak < 1.42e6
 
 
+def test_full_profile_memory_budget():
+    # the two-pass profile engine holds one log-value per term and one term's temporaries: 7.2 MB for the three
+    # terms of full on the 100001 evaluated points of a 200001-point default grid (grid excluded; elt 5.0 MB,
+    # ground 6.4 MB), where holding E, bracket and q of every term until the sum peaked at 12.2 MB
+    config = params.rubidium_config()
+    coeffs = intensity.loop_coefficients(config)
+    grid = intensity.default_grid(coeffs, 200001)
+    branch_profile("full", grid, config, coeffs, "peak")
+    tracemalloc.start()
+    try:
+        branch_profile("full", grid, config, coeffs, "peak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+def test_sweep_memory_is_the_csv_columns_at_200000_steps(config_path, tmp_path):
+    # one loop-12 chain per SWEEP_CHAIN rows: 10.97 MB at 200000 steps against 1.17 MB at 2000, where one chain
+    # over every row peaked at 51.2 MB. Of the difference, 9.6 MB are the six CSV columns held for the rows
+    # (48 B per row) and up to 1 MB one chain block's temporaries; the range check's derive over every d value
+    # peaks at 6.4 MB beside the swept values, below that
+    argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
+    peaks = []
+    for steps in (2000, 200000):
+        run = argv + ["--steps", str(steps), "--out", str(tmp_path / "sweep.csv")]
+        assert main(run) == 0
+        tracemalloc.start()
+        try:
+            assert main(run) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 48 * 198000 + 1.5e6
+
+
 def test_manifest_path_at_a_directory_leaves_the_earlier_csv(config_path, tmp_path, capsys):
     # the second of the two moves would fail here, after the first had replaced <out>: refused before staging
     out = tmp_path / "p.csv"

@@ -93,8 +93,9 @@ def test_looped_path_commands_accept_nonzero_eta(tmp_path, capsys, argv):
 def test_verify_measures_nonzero_eta(tmp_path, capsys):
     cfg = tmp_path / "eta.cfg"
     cfg.write_text(_MINIMAL + "eta_s = 1e-9\n")
-    assert main(["verify", "--config", str(cfg), "--skip-quadrature"]) == 3
-    assert "FAIL] closed-vs-chain/loop12" in capsys.readouterr().out
+    # the closed form takes each loop segment at epsilon + eta, as the chain does, so the records agree
+    assert main(["verify", "--config", str(cfg), "--skip-quadrature"]) == 0
+    assert "[ok  ] closed-vs-chain/loop12" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -308,3 +308,41 @@ def test_every_swept_row_of_the_verify_box_matches_mpmath(parameter, place, swep
     assert np.all((0.0 <= rows) & (rows <= 1.0))
     for row, c1, c2, gamma in zip(rows.tolist(), coeffs.c1, coeffs.c2, coeffs.gamma):
         assert row == pytest.approx(_mpmath_lattice_visibility(c1, c2, gamma), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("parameter", ["d", "t"])
+def test_rows_at_chain_block_boundaries_are_one_step_sweeps(tmp_path, capsys, parameter):
+    # SWEEP_CHAIN rows per loop-12 chain: two boundaries, each row beside them the row a one-step sweep writes
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT)
+    base = getattr(RUBIDIUM, parameter)
+    argv = ["sweep", "--config", str(config), "--parameter", parameter]
+    assert main(argv + ["--range", repr(base / 3), repr(base * 3), "--steps", str(2 * cli.SWEEP_CHAIN + 1)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * cli.SWEEP_CHAIN + 2
+    boundaries = (cli.SWEEP_CHAIN, 2 * cli.SWEEP_CHAIN)  # the first row of each later block; the second is the last row
+    for row in sorted({0, 1} | {b + j for b in boundaries for j in (-2, -1, 0, 1) if b + j < len(lines) - 1}):
+        value = lines[1 + row].split(",")[0]
+        assert main(argv + ["--range", value, value, "--steps", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == lines[1 + row]
+
+
+def test_a_window_failure_in_an_earlier_chain_block_is_named_before_a_later_chain_failure(tmp_path, capsys):
+    # at beta = 1e75 m the window has no finite peak shift at d = 1e-8 m, the first row, and the chain degenerates
+    # at the last, 2.682e154 m, alone in the second chain block: the first block's error is the one named
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("beta_m = 10e-9", "beta_m = 1e75"))
+    steps = cli.SWEEP_CHAIN + 1
+    values = np.linspace(1e-8, 2.682e154, steps)
+    wide = dataclasses.replace(RUBIDIUM, beta=1e75)
+    intensity.loop_coefficients(dataclasses.replace(wide, d=values[:-1]))  # the first block's chain holds
+    with pytest.raises(gaussians.DegenerateChainError, match=r"non-normalizable Gaussian form at d = 2\.682e\+154"):
+        intensity.loop_coefficients(dataclasses.replace(wide, d=values[-1:]))
+    argv = ["sweep", "--config", str(config), "--parameter", "d", "--range", "1e-8", "2.682e154", "--steps", str(steps)]
+    for out in ([], ["--out", str(tmp_path / "sweep.csv")]):
+        assert main(argv + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no finite peak shift of the visibility window at d = 1e-08: " in captured.err
+        assert "non-normalizable" not in captured.err
+        assert list(tmp_path.iterdir()) == [config]
