@@ -69,7 +69,8 @@ import sys
 import numpy as np
 
 from . import __version__, closedform, intensity, marking
-from .params import ConfigError, PhysicsConfig, config_as_dict, derive, load_config, swept_rows, validate_regime
+from .params import (ConfigError, DerivedQuantities, PhysicsConfig, config_as_dict, derive, load_config, swept_rows,
+                     validate_regime)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,9 +286,10 @@ def csv_block(*columns) -> str:
     return _text(*laid)
 
 
-def _warn(config: PhysicsConfig):
-    """Print the regime warnings of a configuration, or of all the values of a swept one."""
-    for warning in validate_regime(config):
+def _warn(config: PhysicsConfig, derived: DerivedQuantities | None = None):
+    """Print the regime warnings of a configuration, or of all the values of a swept one;
+    ``derived`` is ``derive(config)``, when the caller has it."""
+    for warning in validate_regime(config, derived):
         print(f"warning: {warning}", file=sys.stderr)
 
 
@@ -485,9 +487,10 @@ def cmd_sweep(args, config: PhysicsConfig):
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     values = np.linspace(lo, hi, args.steps)
     swept = dataclasses.replace(config, **{args.parameter: values})
-    _warn(swept)  # derives every value first: a value out of range is named before any row is made
+    derived = derive(swept)  # every value first: a value out of range is named before any row is made
+    _warn(swept, derived)
     # epsilon depends on d and sigma0 only, so it may be one value for all rows
-    epsilon = np.broadcast_to(derive(swept).epsilon, values.shape)
+    epsilon = np.broadcast_to(derived.epsilon, values.shape)
     # every row is scored before the first byte, SWEEP_CHAIN rows per loop-12 chain: a row at which the chain
     # degenerates, or whose visibility fails, names its swept value; only the columns the CSV writes are kept
     gamma, spacing, agg, mu = (np.empty(values.shape) for _ in range(4))

@@ -287,10 +287,12 @@ def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.n
 
 
 def fringe_spacing(coeffs: closedform.EltCoefficients):
-    """Distance between adjacent looped-path maxima near the center."""
+    """Distance between adjacent looped-path maxima near the center; inf where it leaves the float
+    range, which a sweep's ``aggregate_visibility`` then names by its swept value."""
     if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; fringes are infinitely wide")
-    return np.pi / np.abs(coeffs.gamma)
+    with np.errstate(over="ignore"):
+        return np.pi / np.abs(coeffs.gamma)
 
 
 def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConfig):

@@ -5,7 +5,8 @@ integrands are written out explicitly and integrated numerically, so
 agreement with the chain engine is a genuine cross-check and not a
 tautology. The loop oracle ``looped_path_value`` uses tensor Gauss-Legendre
 grids, whose rules are built once per process, and one segment kernel per
-order for all the screen points asked for; each point converges on its own.
+order for all the screen points asked for, half of it computed and half copied
+by the rule's mirror symmetry; each point converges on its own.
 """
 
 from __future__ import annotations
@@ -47,6 +48,28 @@ def _gauss_legendre(order: int):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _anti_triangle(order: int):
+    """(rows, cols, spread) of an order x order segment kernel, built once per order and read-only:
+    ``rows`` and ``cols`` index its entries on and above the anti-diagonal, i + j <= order - 1, and
+    ``spread[i, j]`` is the index among them of (i, j), or of its mirror (order-1-j, order-1-i)."""
+    rows, flipped = np.triu_indices(order)
+    cols = order - 1 - flipped
+    spread = np.empty((order, order), dtype=np.intp)
+    spread[rows, cols] = spread[flipped, order - 1 - rows] = np.arange(rows.size)
+    for table in (rows, cols, spread):
+        table.flags.writeable = False
+    return rows, cols, spread
+
+
+def _segment(x1, x2, lam_half: float):
+    """The loop segment kernel exp(i lam_half (x2[j] - x1[i])^2), with only the exponentials on and above
+    its anti-diagonal computed. The Gauss-Legendre nodes are odd to the bit, so x2 = -x1[::-1] exactly
+    and entry (i, j) is entry (n-1-j, n-1-i) to the bit: the other half is a copy."""
+    rows, cols, spread = _anti_triangle(len(x1))
+    return np.exp(1j * lam_half * (x2[cols] - x1[rows]) ** 2)[spread]
 
 
 def looped_path_value(config: PhysicsConfig, x):
@@ -95,7 +118,7 @@ def looped_path_value(config: PhysicsConfig, x):
             x1 = d / 2.0 + half * nodes
             x2 = -d / 2.0 + half * nodes
             left = weights * _spread_packet(x1, config) * slit(x1, d / 2.0)
-            segment = np.exp(1j * lam_half * (x2[None, :] - x1[:, None]) ** 2)
+            segment = _segment(x1, x2, lam_half)
             right = weights * slit(x2, -d / 2.0) * tail(x2)
             value = half * half * (right @ (left @ segment))
             if previous is not None:

@@ -13,7 +13,8 @@ Three layers, from cheapest to most expensive:
 
 Every layer takes one ``closedform.Solution``, which carries the
 configuration it solved; no layer solves. ``eltsim verify`` solves once and
-hands that solution to every layer and to its manifest.
+hands that solution to every layer and to its manifest, and reads the
+loop-12 chain's record once for both wavefunction checks.
 """
 
 from __future__ import annotations
@@ -143,28 +144,33 @@ def _worst_point(name: str, grid, reference, value, tolerance: float) -> CheckRe
     return CheckRecord(name, float(devs[worst]), tolerance, detail=detail)
 
 
-def closed_vs_chain(solution: closedform.Solution, points: int = 101) -> VerificationReport:
+def closed_vs_chain(solution: closedform.Solution, points: int = 101,
+                    looped: closedform.EltCoefficients | None = None) -> VerificationReport:
     """Closed-form psi12/psi21 against those of the loop-12 chain's record, ``intensity.loop_coefficients``,
     both from one evaluator: a deviation is the records' difference, never two evaluators' rounding.
+    ``looped`` is that record, read off the chain here when not given.
 
     Deviations are normalized by the largest chain magnitude on the grid.
     """
     closed = solution.coeffs
     grid = intensity.default_grid(closed, points)
-    looped = intensity.loop_coefficients(solution.config)
+    looped = intensity.loop_coefficients(solution.config) if looped is None else looped
     return VerificationReport([
         _worst_point(f"closed-vs-chain/loop{loop}", grid, psi(grid, looped), psi(grid, closed), DEFAULT_CHAIN_TOL)
         for loop, psi in (("12", closedform.psi12), ("21", closedform.psi21))
     ])
 
 
-def chain_vs_quadrature(solution: closedform.Solution) -> VerificationReport:
+def chain_vs_quadrature(solution: closedform.Solution,
+                        looped: closedform.EltCoefficients | None = None) -> VerificationReport:
     """The loop-12 chain's record against direct 2-D quadrature of the loop integral; a quadrature
-    that does not converge fails the record with an infinite deviation."""
+    that does not converge fails the record with an infinite deviation. ``looped`` is that record,
+    ``intensity.loop_coefficients``, read off the chain here when not given."""
     name = "chain-vs-quadrature/loop12"
     grid = np.linspace(-1.7, 1.7, 5) * intensity.fringe_spacing(solution.coeffs)
 
-    chain = closedform.CHAIN_SIGN * closedform.psi12(grid, intensity.loop_coefficients(solution.config))
+    looped = intensity.loop_coefficients(solution.config) if looped is None else looped
+    chain = closedform.CHAIN_SIGN * closedform.psi12(grid, looped)
     try:
         quad_vals = oracle.looped_path_value(solution.config, grid)
     except oracle.QuadratureError as exc:
@@ -178,11 +184,9 @@ def full_verification(
     quadrature: bool = True,
     corrupt: str | None = None,
 ) -> VerificationReport:
-    parts = [
-        ztable_consistency(solution, corrupt=corrupt),
-        coefficient_terms(solution),
-        closed_vs_chain(solution, points=points),
-    ]
+    parts = [ztable_consistency(solution, corrupt=corrupt), coefficient_terms(solution)]
+    looped = intensity.loop_coefficients(solution.config)  # one record for both wavefunction checks
+    parts.append(closed_vs_chain(solution, points=points, looped=looped))
     if quadrature:
-        parts.append(chain_vs_quadrature(solution))
+        parts.append(chain_vs_quadrature(solution, looped=looped))
     return VerificationReport([rec for part in parts for rec in part.records])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import references
 from eltsim.params import (
     ConfigError,
     PhysicsConfig,
+    check,
     derive,
     parse_config_text,
     rubidium_config,
@@ -129,3 +131,43 @@ def test_swept_rows_is_the_configuration_of_those_rows():
     for name, value in vars(want).items():
         assert np.array_equal(getattr(part, name), value)
     assert swept(part)[0] == "tau" and swept(config)[1].size == 70
+
+
+SWEPT_D = np.array([1e-7, 2e-7, 3e-7, 4e-7])
+
+
+def _check_cases():
+    """(ok, config) pairs: bools, numpy bools and 0-d arrays for one configuration, 1-D arrays for a swept one."""
+    one, many = rubidium_config(), rubidium_config(d=SWEPT_D)
+    for value in (True, False):
+        for ok in (value, np.bool_(value), np.array(value)):
+            yield ok, one
+            yield ok, many
+    for bits in itertools.product((True, False), repeat=SWEPT_D.size):
+        yield np.array(bits), many
+
+
+@pytest.mark.parametrize("ok, config", list(_check_cases()))
+def test_check_raises_exactly_where_np_all_fails_and_names_the_first_failing_value(ok, config):
+    def describe(at, where):
+        return f"d = {at(config.d)!r} fails{where}"
+
+    if np.all(ok):
+        check(ok, config, describe)
+        return
+    with pytest.raises(ConfigError) as failed:
+        check(ok, config, describe)
+    if swept(config) is None:
+        assert str(failed.value) == f"d = {config.d!r} fails"
+    else:
+        first = SWEPT_D.tolist()[np.ravel(ok).tolist().index(False)]
+        assert str(failed.value) == f"d = {first!r} fails at d = {first!r}"
+
+
+class _NamedError(ValueError):
+    pass
+
+
+def test_check_raises_the_error_it_is_given():
+    with pytest.raises(_NamedError, match="^named$"):
+        check(np.bool_(False), None, lambda at, where: "named", _NamedError)

@@ -187,3 +187,17 @@ def test_a_grid_wider_than_the_float_range_is_named(tmp_path, capsys, command):
         code = main([command[0], "--config", str(_config(tmp_path, beta_m="1e152")), *command[1:]])
     assert code == 2
     assert "the grid half-width 5 pi/|gamma| leaves the float range" in capsys.readouterr().err
+
+
+def test_a_sweep_whose_fringe_spacing_overflows_is_named_without_a_warning(tmp_path, capsys):
+    # at beta = 1e140 m gamma is so small that pi/|gamma| overflows: the spacing is inf, and the row is
+    # named by its visibility window, with nothing on stdout and no RuntimeWarning on the way
+    config = _config(tmp_path)
+    argv = ["sweep", "--config", str(config), "--parameter", "beta", "--range", "1e140", "1e150", "--steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: no finite peak shift of the visibility window at beta = 1e+140: ")
+    assert captured.err.count("\n") == 1

@@ -346,3 +346,14 @@ def test_a_window_failure_in_an_earlier_chain_block_is_named_before_a_later_chai
         assert "error: no finite peak shift of the visibility window at d = 1e-08: " in captured.err
         assert "non-normalizable" not in captured.err
         assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_sweep_derives_its_swept_values_once(monkeypatch):
+    # the regime warnings and the epsilon_s column read one derive of the whole swept range; every other
+    # derive is the loop-12 chain's own, one per chain
+    chains = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    derives = _count_calls(monkeypatch, params, "derive")
+    steps = 2 * cli.SWEEP_CHAIN + 1
+    assert len(_sweep_rows(RUBIDIUM, "t", 2e-6, 2e-4, steps)) == steps
+    assert len(chains) == 3
+    assert len(derives) == 1 + len(chains)

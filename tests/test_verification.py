@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from eltsim import closedform, intensity, verification
+from eltsim import closedform, gaussians, intensity, verification
 from eltsim.cli import main
 from eltsim.params import rubidium_config
 
@@ -37,3 +37,35 @@ def test_a_long_second_flight_passes_where_the_two_records_agree(tmp_path, capsy
     path = tmp_path / "tau.cfg"
     path.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 1e4\n")
     assert main(["verify", "--config", str(path)]) == 0, capsys.readouterr().out
+
+
+
+def _count_chains(monkeypatch):
+    """Record the loop of every loop-12 or loop-21 chain built from here on."""
+    built, chain = [], gaussians.chain_exotic
+
+    def counting(loop, cfg):
+        built.append(loop)
+        return chain(loop, cfg)
+
+    monkeypatch.setattr(gaussians, "chain_exotic", counting)
+    return built
+
+
+@pytest.mark.parametrize("quadrature", [True, False], ids=["quadrature", "skip-quadrature"])
+def test_full_verification_builds_the_loop_chain_once(config, monkeypatch, quadrature):
+    solution = closedform.solve(config)
+    built = _count_chains(monkeypatch)
+    report = verification.full_verification(solution, quadrature=quadrature)
+    assert report.passed, report.render()
+    assert built == ["12"]
+    names = [record.name for record in report.records]
+    assert names[-3:] == WAVEFUNCTION_RECORDS if quadrature else names[-2:] == WAVEFUNCTION_RECORDS[:2]
+
+
+def test_each_wavefunction_check_called_alone_builds_its_own_record(config, monkeypatch):
+    solution = closedform.solve(config)
+    built = _count_chains(monkeypatch)
+    assert verification.closed_vs_chain(solution).passed
+    assert verification.chain_vs_quadrature(solution).passed
+    assert built == ["12", "12"]
