@@ -16,8 +16,8 @@ routes contains transcription errors; the verifier reports any per-term
 disagreement by name. ``solve`` is the one place that turns a configuration
 into its derived kinematics, z-table and coefficients, each loop segment at
 epsilon + eta (``loop_kinematics``) as in the chain; it broadcasts over a
-configuration whose swept field is a 1-D array (``params.swept``), and its
-guards name the first swept value that trips them.
+batch of configurations (``params.batch``), and its guards name the first
+row that trips them by every field of the batch.
 
 Nothing on the hot path reads the closed form: every profile and sweep row
 comes from the propagator chain of :mod:`eltsim.gaussians`. The closed form

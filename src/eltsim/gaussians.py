@@ -11,9 +11,8 @@ throughout). The chain is exact;
 every path amplitude and looped-path coefficient on the hot path comes from
 it, and verification checks the closed form of :mod:`eltsim.closedform`
 against the looped-path coefficients read off it. Forms and chains
-broadcast: over a configuration whose swept field is a 1-D array
-(``params.swept``) every coefficient is an array with one element per
-configuration.
+broadcast: over a batch of configurations, whose fields ``params.batch``
+returns, every coefficient is an array with one element per configuration.
 """
 
 from __future__ import annotations

@@ -299,7 +299,7 @@ def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConf
     """(Imax - Imin)/(Imax + Imin) of the looped-path profile over the central
     three fringes, per configuration of ``coeffs`` (a float for one, an array
     for a block of them). ``config`` holds the configurations the coefficients
-    belong to; a failing check names the swept value of the row that fails.
+    belong to; a failing check names the row that fails by every field of its batch.
 
     A convenience metric for sweeps; it depends on the window, so it is
     reported under its own name. The window is the lattice x = k h,

@@ -7,8 +7,10 @@ double-slit conventions: an initial Gaussian packet of transverse width
 path crosses the slit plane three times; the slit-to-slit traversal time
 ``epsilon`` is set by the transverse momentum uncertainty of the packet.
 
-``derive`` range-checks the divisors of both wavefunction routes; ``check``
-names the first configuration of a swept field that fails such a check.
+Real fields may hold 1-D arrays of one length, a ``batch`` of configurations
+that every route broadcasts over. ``derive`` range-checks the divisors of both
+wavefunction routes; ``check`` names the first configuration of a batch that
+fails such a check by every field of the batch.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class PhysicsConfig:
     clockwise/counterclockwise looped paths. The ratio between them is an
     explicit input; the looped-path chain itself is unnormalized.
 
-    One real field may instead hold a 1-D float array: the configuration
-    then stands for one configuration per element, and ``derive``, the
-    propagator chain and ``closedform.solve`` broadcast over it (``sweep``
-    builds such batches).
+    Any real fields may instead hold 1-D float arrays of one length, the
+    ``batch``: the configuration then stands for one configuration per row,
+    and ``derive``, the propagator chain and ``closedform.solve`` broadcast
+    over it (``sweep`` builds such batches). Arrays of different lengths are
+    a ConfigError that names each field and its length.
     """
 
     mass: float
@@ -80,7 +83,7 @@ class PhysicsConfig:
 
     def __post_init__(self):
         # finite numbers, bool excluded; only eta may be zero, only the amplitudes complex or signed.
-        # A real field may hold a 1-D float array of values (one configuration each, see swept);
+        # A real field may hold a 1-D float array of values (one configuration each, see batch);
         # the first bad element is then checked below and named like a scalar.
         for name, value in vars(self).items():  # every field, in declaration order
             amplitude = name in _AMPLITUDES
@@ -98,34 +101,40 @@ class PhysicsConfig:
                 raise ConfigError(f"eta must be >= 0, got {value!r}")
             if not amplitude and name != "eta" and value <= 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
+        lengths = {name: values.size for name, values in batch(self).items()}
+        if len(set(lengths.values())) > 1:
+            raise ConfigError("array fields must have one length, got " + ", ".join(
+                f"{name} of length {size}" for name, size in lengths.items()))
+
+
+def batch(config: PhysicsConfig) -> dict[str, np.ndarray]:
+    """The fields that hold an array of values, in declaration order: row i of each is
+    configuration i. Empty for one configuration."""
+    return {name: value for name, value in vars(config).items() if isinstance(value, np.ndarray)}
 
 
 def swept(config: PhysicsConfig) -> tuple[str, np.ndarray] | None:
-    """The field that holds an array of values, and the values; None for one configuration."""
-    for name, value in vars(config).items():
-        if isinstance(value, np.ndarray):
-            return name, value
-    return None
+    """The first field of the batch and its values; None for one configuration."""
+    return next(iter(batch(config).items()), None)
 
 
-def swept_rows(config: PhysicsConfig, rows: slice) -> PhysicsConfig:
-    """The configurations ``rows`` of a swept configuration. Its values were
-    checked when it was built, so they are not checked again: this costs a
-    dict copy, not a second ``__post_init__``."""
-    name, values = swept(config)
+def swept_rows(config: PhysicsConfig, rows: slice | int) -> PhysicsConfig:
+    """The configurations ``rows`` of a batch: every field of the batch is cut alike. Its values were checked when it was built, so they are not checked again: this
+    costs a dict copy, not a second ``__post_init__``."""
     part = object.__new__(PhysicsConfig)
     part.__dict__.update(vars(config))
-    part.__dict__[name] = values[rows]
+    part.__dict__.update({name: values[rows] for name, values in batch(config).items()})
     return part
 
 
 def _first_failing(ok, config: PhysicsConfig | None):
     """(at, where) for the first configuration where ``ok`` fails: ``at`` picks its element
-    of a value (one number or one per configuration), ``where`` names its swept value."""
+    of a value (one number or one per configuration), ``where`` names every field of the
+    batch at that row."""
     i = int(np.argmin(ok))
-    field = config and swept(config)
-    where = f" at {field[0]} = {field[1][i].item()!r}" if field else ""
-    return (lambda value: np.ravel(value)[i if np.ndim(value) else 0].item()), where
+    fields = batch(config) if config else {}
+    row = ", ".join(f"{name} = {values[i].item()!r}" for name, values in fields.items())
+    return (lambda value: np.ravel(value)[i if np.ndim(value) else 0].item()), row and f" at {row}"
 
 
 def check(ok, config: PhysicsConfig | None, describe, error: type[ValueError] = ConfigError) -> None:
@@ -198,8 +207,8 @@ def validate_regime(config: PhysicsConfig, derived: DerivedQuantities | None = N
     """Warnings for parameter choices outside the regime the model assumes.
 
     The total flight time of a looped path must stay far below the excited-state
-    lifetime (no spontaneous decay en route). For an array-valued field the one
-    warning names the first swept value past that limit and counts them all.
+    lifetime (no spontaneous decay en route). For a batch the one warning names
+    the first row past that limit, by every field of the batch, and counts the rows.
     ``derived`` is ``derive(config)``, derived here when not given.
     """
     derived = derive(config) if derived is None else derived

@@ -165,9 +165,14 @@ def chain_vs_quadrature(solution: closedform.Solution,
                         looped: closedform.EltCoefficients | None = None) -> VerificationReport:
     """The loop-12 chain's record against direct 2-D quadrature of the loop integral; a quadrature
     that does not converge fails the record with an infinite deviation. ``looped`` is that record,
-    ``intensity.loop_coefficients``, read off the chain here when not given."""
+    ``intensity.loop_coefficients``, read off the chain here when not given. A fringe spacing
+    past the float range is a ProfileError naming gamma, as ``intensity.default_grid`` names it."""
     name = "chain-vs-quadrature/loop12"
-    grid = np.linspace(-1.7, 1.7, 5) * intensity.fringe_spacing(solution.coeffs)
+    spacing = intensity.fringe_spacing(solution.coeffs)
+    if not spacing <= np.finfo(float).max / 1.7:
+        raise intensity.ProfileError(f"gamma = {solution.coeffs.gamma!r} is too small: "
+                                     "the quadrature grid half-width 1.7 pi/|gamma| leaves the float range")
+    grid = np.linspace(-1.7, 1.7, 5) * spacing
 
     looped = intensity.loop_coefficients(solution.config) if looped is None else looped
     chain = closedform.CHAIN_SIGN * closedform.psi12(grid, looped)

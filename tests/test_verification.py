@@ -2,6 +2,7 @@
 ``intensity.loop_coefficients``, evaluated by the closed form's own ``psi12``/``psi21``."""
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -69,3 +70,14 @@ def test_each_wavefunction_check_called_alone_builds_its_own_record(config, monk
     assert verification.closed_vs_chain(solution).passed
     assert verification.chain_vs_quadrature(solution).passed
     assert built == ["12", "12"]
+
+
+def test_chain_vs_quadrature_alone_names_a_fringe_spacing_past_the_float_range_without_a_warning():
+    # at beta = 1e152, pi/|gamma| overflows: the quadrature grid is refused by gamma, as closed_vs_chain refuses its own
+    solution = closedform.solve(rubidium_config(beta=1e152))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(intensity.ProfileError, match=r"^gamma = .* is too small: .* leaves the float range$"):
+            verification.closed_vs_chain(solution)
+        with pytest.raises(intensity.ProfileError, match=rf"^gamma = {solution.coeffs.gamma!r} is too small: "):
+            verification.chain_vs_quadrature(solution)
