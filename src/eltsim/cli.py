@@ -286,11 +286,13 @@ def csv_block(*columns) -> str:
     return _text(*laid)
 
 
-def _warn(config: PhysicsConfig, derived: DerivedQuantities | None = None):
-    """Print the regime warnings of a configuration, or of all the values of a swept one;
-    ``derived`` is ``derive(config)``, when the caller has it."""
+def _warn(config: PhysicsConfig) -> DerivedQuantities:
+    """Print the regime warnings of a configuration, or of all the values of a swept one, and return
+    ``derive(config)``, which range-checks every value first."""
+    derived = derive(config)
     for warning in validate_regime(config, derived):
         print(f"warning: {warning}", file=sys.stderr)
+    return derived
 
 
 def _reference(args, config: PhysicsConfig):
@@ -487,10 +489,9 @@ def cmd_sweep(args, config: PhysicsConfig):
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     values = np.linspace(lo, hi, args.steps)
     swept = dataclasses.replace(config, **{args.parameter: values})
-    derived = derive(swept)  # every value first: a value out of range is named before any row is made
-    _warn(swept, derived)
-    # epsilon depends on d and sigma0 only, so it may be one value for all rows
-    epsilon = np.broadcast_to(derived.epsilon, values.shape)
+    # every value first: a value out of range is named before any row is made. Of the record only epsilon is kept,
+    # as its span is one more array of every row; epsilon depends on d and sigma0 only, so may be one value for all
+    epsilon = np.broadcast_to(_warn(swept).epsilon, values.shape)
     # every row is scored before the first byte, SWEEP_CHAIN rows per loop-12 chain: a row at which the chain
     # degenerates, or whose visibility fails, names its swept value; only the columns the CSV writes are kept
     gamma, spacing, agg, mu = (np.empty(values.shape) for _ in range(4))
@@ -498,11 +499,12 @@ def cmd_sweep(args, config: PhysicsConfig):
         rows = slice(first, first + SWEEP_CHAIN)
         part = swept_rows(swept, rows)
         coeffs = intensity.loop_coefficients(part)
-        gamma[rows], spacing[rows], mu[rows] = coeffs.gamma, intensity.fringe_spacing(coeffs), coeffs.mu
         for start in range(0, coeffs.gamma.size, SWEEP_CHUNK):
             chunk = slice(start, start + SWEEP_CHUNK)
             block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
             agg[rows][chunk] = intensity.aggregate_visibility(block, swept_rows(part, chunk))
+        # after the visibility, which names a row whose gamma vanishes by its swept value
+        gamma[rows], spacing[rows], mu[rows] = coeffs.gamma, intensity.fringe_spacing(coeffs), coeffs.mu
 
     def blocks():
         yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"

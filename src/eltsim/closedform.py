@@ -15,7 +15,7 @@ the expanded real/imaginary component formulas (cross-check). Keeping both
 routes contains transcription errors; the verifier reports any per-term
 disagreement by name. ``solve`` is the one place that turns a configuration
 into its derived kinematics, z-table and coefficients, each loop segment at
-epsilon + eta (``loop_kinematics``) as in the chain; it broadcasts over a
+``derived.span`` = epsilon + eta as in the chain; it broadcasts over a
 batch of configurations (``params.batch``), and its guards name the first
 row that trips them by every field of the batch.
 
@@ -29,7 +29,7 @@ psi12, at every eta), and the coefficient record of every manifest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,11 +81,11 @@ class EltCoefficients:
 
 
 def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
-    """z-table at the loop segment time ``derived.epsilon`` (``solve`` passes epsilon + eta); the recursion
+    """z-table at the loop segment time ``derived.span``, epsilon + eta; the recursion
     mirrors the chain stage by stage. No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a
     positive real part."""
     m, hbar = config.mass, config.hbar
-    t, tau, eps = config.t, config.tau, derived.epsilon
+    t, tau, eps = config.t, config.tau, derived.span
     lam = m / (2.0 * hbar * eps)  # per-segment loop-kernel wavenumber scale
 
     z0 = 1.0 / (2.0 * config.sigma0**2) - 1j * m / (2.0 * hbar * t)
@@ -166,7 +166,7 @@ def expanded_products(zt: ZTable) -> dict[str, complex]:
 def _kinematics(config: PhysicsConfig, derived: DerivedQuantities):
     m, hbar = config.mass, config.hbar
     ktau = m / (hbar * config.tau)
-    lam = m / (2.0 * hbar * derived.epsilon)
+    lam = m / (2.0 * hbar * derived.span)
     big_d = config.d / (2.0 * config.beta**2)
     return ktau, lam, big_d
 
@@ -209,7 +209,7 @@ def expanded_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: Deriv
     that leaves the float range is inf or nan and fails its check by name,
     where a Python float ** or / would raise."""
     m, hbar = np.float64(config.mass), np.float64(config.hbar)
-    tau, eps = np.float64(config.tau), np.float64(derived.epsilon)
+    tau, eps = np.float64(config.tau), np.float64(derived.span)
     d, beta = np.float64(config.d), np.float64(config.beta)
 
     def sq(z: complex) -> float:
@@ -293,7 +293,7 @@ def gouy_phase(zt: ZTable) -> float:
 def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> EltCoefficients:
     """Assemble the closed-form coefficient bundle from the z-table."""
     m, hbar = config.mass, config.hbar
-    t, tau, eps = config.t, config.tau, derived.epsilon
+    t, tau, eps = config.t, config.tau, derived.span
     ktau = m / (hbar * tau)
 
     big_z_mod = np.hypot(zt.gouy_zr, zt.gouy_zi)
@@ -344,19 +344,12 @@ class Solution:
     coeffs: EltCoefficients
 
 
-def loop_kinematics(config: PhysicsConfig, derived: DerivedQuantities) -> DerivedQuantities:
-    """The kinematics the z-table and coefficients are built from: each loop segment spans epsilon + eta, as in
-    the chain (``gaussians.chain_exotic``) and the oracle; ``Solution.derived`` keeps epsilon itself."""
-    return replace(derived, epsilon=derived.epsilon + config.eta)
-
-
 def solve(config: PhysicsConfig) -> Solution:
     """derive -> build_ztable -> build_coefficients for one configuration, or
-    for every value of an array-valued field at once; the loop terms at epsilon + eta."""
+    for every value of an array-valued field at once; the loop terms at ``derived.span``."""
     derived = derive(config)
-    loop = loop_kinematics(config, derived)
-    zt = build_ztable(config, loop)
-    return Solution(config, derived, zt, build_coefficients(zt, config, loop))
+    zt = build_ztable(config, derived)
+    return Solution(config, derived, zt, build_coefficients(zt, config, derived))
 
 
 def psi12(x, coeffs: EltCoefficients):

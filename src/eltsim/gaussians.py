@@ -141,10 +141,10 @@ def propagate(form: GaussianForm, duration: float, config: PhysicsConfig) -> Gau
 def _through_slits(config: PhysicsConfig, slit: float, looped_via: float | None = None) -> GaussianForm:
     """Source packet -> flight t -> slit at ``slit`` -> flight tau -> screen; with ``looped_via``
     the path first loops to the slit there and back. Each loop segment takes the kernel
-    exp(i m (x2-x1)^2 / 4 hbar span), span = epsilon + eta, and the constant
-    sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
+    exp(i m (x2-x1)^2 / 4 hbar span), span = epsilon + eta as ``derive`` computes it, and the
+    constant sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
     """
-    span = derive(config).epsilon + config.eta  # derive range-checks every divisor before any arithmetic
+    span = derive(config).span  # derive range-checks every divisor before any arithmetic
     with np.errstate(all="ignore"):  # a batch that overflows is named by the check below
         form = apply_slit(propagate(initial_packet(config), config.t, config), slit, config.beta)
         if looped_via is not None:

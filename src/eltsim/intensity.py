@@ -288,7 +288,7 @@ def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.n
 
 def fringe_spacing(coeffs: closedform.EltCoefficients):
     """Distance between adjacent looped-path maxima near the center; inf where it leaves the float
-    range, which a sweep's ``aggregate_visibility`` then names by its swept value."""
+    range. A sweep takes it after ``aggregate_visibility``, which names such a row by its swept value."""
     if np.any(coeffs.gamma == 0):
         raise ProfileError("gamma vanishes; fringes are infinitely wide")
     with np.errstate(over="ignore"):

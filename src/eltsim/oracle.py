@@ -85,8 +85,8 @@ def looped_path_value(config: PhysicsConfig, x):
     """
     m, hbar = config.mass, config.hbar
     d, beta, tau = config.d, config.beta, config.tau
-    eps = derive(config).epsilon + config.eta
-    lam_half = m / (4.0 * hbar * eps)  # per-segment kernel phase scale
+    span = derive(config).span  # each loop segment spans epsilon + eta
+    lam_half = m / (4.0 * hbar * span)  # per-segment kernel phase scale
     ktau = m / (2.0 * hbar * tau)
     screen = np.asarray(x, dtype=float)
     points = screen.reshape(-1, 1)
@@ -107,7 +107,7 @@ def looped_path_value(config: PhysicsConfig, x):
         pref = cmath.sqrt(m / (2j * math.pi * hbar * tau))
         return pref * np.sqrt(np.pi / a3) * np.exp(b3 * b3 / (4.0 * a3) + c3)
 
-    loop_pref = cmath.sqrt(m / (4j * math.pi * hbar * eps))
+    loop_pref = cmath.sqrt(m / (4j * math.pi * hbar * span))
     half = _DOMAIN_WIDTHS * beta
     converged = np.zeros(len(points), dtype=complex)
     pending = np.ones(len(points), dtype=bool)

@@ -5,7 +5,8 @@ double-slit conventions: an initial Gaussian packet of transverse width
 ``sigma0`` travels for a time ``t`` to a pair of Gaussian slits of width
 ``beta`` separated by ``d``, then for a time ``tau`` to the screen. A looped
 path crosses the slit plane three times; the slit-to-slit traversal time
-``epsilon`` is set by the transverse momentum uncertainty of the packet.
+``epsilon`` is set by the transverse momentum uncertainty of the packet, and
+each of its two loop segments spans ``epsilon + eta`` (``derive``'s ``span``).
 
 Real fields may hold 1-D arrays of one length, a ``batch`` of configurations
 that every route broadcasts over. ``derive`` range-checks the divisors of both
@@ -147,11 +148,13 @@ def check(ok, config: PhysicsConfig | None, describe, error: type[ValueError] = 
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Kinematics implied by the configuration: Delta p_x, Delta v_x, epsilon."""
+    """Kinematics implied by the configuration: Delta p_x, Delta v_x, epsilon itself, and the time
+    ``span = epsilon + eta`` of one loop segment, at which every route evaluates its loop terms."""
 
     delta_p: float
     delta_v: float
     epsilon: float
+    span: float
 
 
 def derive(config: PhysicsConfig) -> DerivedQuantities:
@@ -162,8 +165,8 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     Delta v_x = Delta p_x / m. For the Rubidium parameter set this gives
     epsilon ~ 3.5 us. Broadcasts over an array-valued field.
 
-    The chain and the closed form derive first: a divisor of theirs that under-
-    or overflows is a ConfigError naming its field, before any arithmetic.
+    The chain and the closed form derive first: a divisor of theirs (the span, never epsilon alone)
+    that under- or overflows is a ConfigError naming its field, before any arithmetic.
     """
 
     def divisor(value, describe):  # a divisor that must neither underflow to 0 nor overflow
@@ -178,13 +181,14 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
         "Delta v_x underflows to 0",
     )
     epsilon = config.d / delta_v
-    loop_scale = 2.0 * config.hbar * epsilon
+    span = epsilon + config.eta
+    loop_scale = 2.0 * config.hbar * span
     divisor(loop_scale, lambda at, where: f"slit-to-slit time epsilon = {at(epsilon)!r} s is out of range{where}: "
-            f"2 hbar epsilon = {at(loop_scale)!r} J s^2")
+            f"2 hbar (epsilon + eta) = {at(loop_scale)!r} J s^2")
     with np.errstate(over="ignore", under="ignore"):
         width = 2.0 * np.square(config.sigma0)
         slit = 2.0 * np.square(config.beta)
-        # the closed form takes the loop-kernel scale m / (2 hbar epsilon) to the fourth power
+        # the closed form takes the loop-kernel scale m / (2 hbar span) to the fourth power
         kernel = np.power(config.mass / loop_scale, 4)
     divisor(width, lambda at, where: f"packet width sigma0 = {at(config.sigma0)!r} m is out of range{where}: "
             f"2 sigma0^2 = {at(width)!r} m^2")
@@ -198,21 +202,21 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
         np.isfinite(kernel),
         config,
         lambda at, where: f"slit separation d = {at(config.d)!r} m is out of range{where}: "
-        f"epsilon = {at(epsilon)!r} s and (m / 2 hbar epsilon)^4 = {at(kernel)!r} m^-8",
+        f"epsilon + eta = {at(span)!r} s and (m / 2 hbar (epsilon + eta))^4 = {at(kernel)!r} m^-8",
     )
-    return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon)
+    return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon, span=span)
 
 
 def validate_regime(config: PhysicsConfig, derived: DerivedQuantities | None = None) -> list[str]:
     """Warnings for parameter choices outside the regime the model assumes.
 
-    The total flight time of a looped path must stay far below the excited-state
-    lifetime (no spontaneous decay en route). For a batch the one warning names
+    The total flight time t + 2 (epsilon + eta) + tau of a looped path must stay far below the
+    excited-state lifetime (no spontaneous decay en route). For a batch the one warning names
     the first row past that limit, by every field of the batch, and counts the rows.
     ``derived`` is ``derive(config)``, derived here when not given.
     """
     derived = derive(config) if derived is None else derived
-    flight = config.t + 2.0 * derived.epsilon + config.tau
+    flight = config.t + 2.0 * derived.span + config.tau
     short = flight <= 0.01 * config.excited_lifetime
     if np.all(short):
         return []

@@ -117,8 +117,7 @@ def coefficient_terms(solution: closedform.Solution) -> VerificationReport:
     coefficient tables shows up here under its own name. ``term/mu`` is the
     distance of mu from the paper's ``gouy_phase`` modulo pi, in radians.
     """
-    config, zt = solution.config, solution.ztable
-    derived = closedform.loop_kinematics(config, solution.derived)  # as ``solve`` built the z-table
+    config, zt, derived = solution.config, solution.ztable, solution.derived
     compact = {}
     compact.update(closedform.linear_coefficient_terms(zt, config, derived))
     compact.update(closedform.constant_coefficient_terms(zt, config, derived))

@@ -47,3 +47,13 @@ def test_verify_with_quadrature_passes_at_nonzero_eta(eta, tmp_path, capsys):
     config = rubidium_config(eta=eta)
     assert manifest["derived"]["epsilon_s"] == derive(config).epsilon
     assert manifest["coefficients"]["c3"] == pytest.approx(intensity.loop_coefficients(config).c3, rel=1e-11, abs=0)
+
+
+def test_the_divisors_are_range_checked_at_the_span():
+    # at d = 1e-170 m epsilon is 1.9e-169 s and (m / 2 hbar epsilon)^4 would overflow, but no route divides by
+    # epsilon alone: both take each loop segment at the span epsilon + eta = 1e-6 s, and their gamma agree
+    config = rubidium_config(d=1e-170, eta=1e-6)
+    derived = derive(config)
+    assert derived.span == 1e-6 and derived.epsilon < 1e-168
+    gamma = intensity.loop_coefficients(config).gamma
+    assert closedform.solve(config).coeffs.gamma == pytest.approx(gamma, rel=1e-13, abs=0)

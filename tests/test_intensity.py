@@ -239,6 +239,15 @@ def test_a_profile_without_a_positive_peak_is_not_normalized(config):
     assert branch_intensity(antifringes, grid, config, "raw", label="stub").values.tolist() == [0.0]
 
 
+def test_a_density_without_a_weight_is_zero_and_not_normalized(config, grid):
+    # no block and no term: the one term that stands in for them is 0 everywhere, its visibility 0
+    weightless = marking.CenterOfMassDensity({})
+    raw = branch_intensity(weightless, grid, config, "raw")
+    assert not raw.values.any() and not raw.visibility.any() and raw.values.size == grid.size
+    with pytest.raises(ProfileError, match="cannot normalize the density profile: its peak on this grid is 0"):
+        branch_intensity(weightless, grid, config, "peak")
+
+
 def test_default_grid_span(coeffs):
     grid = default_grid(coeffs, points=11)
     assert grid.size == 11

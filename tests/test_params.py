@@ -53,6 +53,14 @@ def test_regime_warns_on_long_flight():
     assert "lifetime" in warnings[0]
 
 
+def test_regime_counts_eta_in_the_looped_flight():
+    # t + 2 (epsilon + eta) + tau: 2.5e-4 + 2 (3.48e-6 + 2e-5) + 2e-5 = 3.170e-4 s passes 1% of the 30 ms lifetime,
+    # and without eta 2.770e-4 s does not
+    warnings = validate_regime(rubidium_config(t=2.5e-4, eta=2e-5))
+    assert len(warnings) == 1 and "total flight time 3.170e-04 s" in warnings[0]
+    assert validate_regime(rubidium_config(t=2.5e-4)) == []
+
+
 @pytest.mark.parametrize("name", ["mass", "sigma0", "beta", "d", "t", "tau"])
 def test_nonpositive_parameter_rejected_naming_field(name):
     with pytest.raises(ConfigError, match=name):

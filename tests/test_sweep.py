@@ -261,6 +261,30 @@ def test_degenerate_row_in_a_later_chunk_writes_no_row(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_a_row_whose_gamma_vanishes_in_a_later_chunk_is_named(tmp_path, monkeypatch, capsys, out):
+    # the fringe spacing pi/|gamma| is taken after the visibility, which names the row by its swept value
+    original = intensity.loop_coefficients
+    row = SWEEP_CHUNK + 3
+
+    def vanishing(config):
+        coeffs = original(config)
+        gamma = coeffs.gamma.copy()
+        gamma[row] = 0.0
+        return dataclasses.replace(coeffs, gamma=gamma)
+
+    monkeypatch.setattr(intensity, "loop_coefficients", vanishing)
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT)
+    steps = 2 * SWEEP_CHUNK + 1
+    argv = ["sweep", "--config", str(config), "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", str(steps)]
+    assert main(argv + (["--out", str(tmp_path / "sweep.csv")] if out else [])) == 2
+    captured = capsys.readouterr()
+    value = np.linspace(90e-9, 360e-9, steps)[row].item()
+    assert f"error: gamma vanishes at d = {value!r}" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
 # the verify box of perfbench's in_verify_box: t and tau log-uniform in [1e-9, 1e-2] s, d, sigma0 and beta over
 # one decade either side of Rubidium
 VERIFY_BOX = {"t": (1e-9, 1e-2), "tau": (1e-9, 1e-2)} | {
