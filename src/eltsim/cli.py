@@ -378,28 +378,26 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.
 
 def profile_csv(profile: intensity.IntensityProfile):
     """The profile's CSV text: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
-    is laid out from its first n//2 rows, x < 0, a block at a time; the rows x > 0 are those blocks' buffers
-    in reverse order without x's sign byte, after the centre row of an odd n. Those buffers are held until
-    the second half is written, about 35 bytes per point."""
+    is laid out from its first m = n//2 rows, x < 0, a block at a time; rows m ... n - m, the centre row of an
+    odd n, follow as they are, and the rows x > 0 are the first blocks' buffers in reverse order without x's
+    sign byte. Those buffers are held until the second half is written, about 35 bytes per point. An uneven
+    profile is that layout with m = 0: every row as it is."""
     vis = 0.0 if profile.visibility is None else profile.visibility
     grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
     yield "x_m,intensity,visibility_pointwise\n"
     n, m = grid.size, grid.size // 2
-    even = np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
-        np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))
-    if not even:
-        for start in range(0, n, PROFILE_BLOCK):
-            rows = slice(start, start + PROFILE_BLOCK)
-            yield csv_block(grid[rows], values[rows], vis[rows])
-        return
+    if not (np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
+            np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))):
+        m = 0
     held = []  # per block of x < 0: its rows, and its buffer, or None for Python's % text
     for start in range(0, m, PROFILE_BLOCK):
         rows = slice(start, min(start + PROFILE_BLOCK, m))
         laid = _layout(np.stack([grid[rows], values[rows], vis[rows]]))
         held.append((rows, laid))
         yield csv_block(grid[rows], values[rows], vis[rows]) if laid is None else _text(*laid)
-    if n % 2:
-        yield csv_block(grid[m : m + 1], values[m : m + 1], vis[m : m + 1])
+    for start in range(m, n - m, PROFILE_BLOCK):
+        rows = slice(start, min(start + PROFILE_BLOCK, n - m))
+        yield csv_block(grid[rows], values[rows], vis[rows])
     for rows, laid in reversed(held):  # x > 0: every number as at -x, less x's sign, the first byte of a row
         if laid is None:
             mirror = slice(n - rows.stop, n - rows.start)

@@ -5,6 +5,9 @@ to a single complex Gaussian whose stage-by-stage quadratic coefficients form
 the z-table below: z0..z3 are the four Gaussian-integration coefficients, and
 z4..z10 are the products of z1, z2, z3 that appear once the linear and
 constant parts of the exponent are expanded into real-arithmetic components.
+z0..z3 are the chain's stage recursion over the wavenumbers kappa = (m/hbar t,
+m/2 hbar (epsilon + eta), m/2 hbar (epsilon + eta), m/hbar tau) of the flight t,
+the two loop segments and the flight tau; the loop one is ``derive``'s ``lam``.
 
 Each coefficient of the final wavefunction
 
@@ -81,30 +84,17 @@ class EltCoefficients:
 
 
 def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
-    """z-table at the loop segment time ``derived.span``, epsilon + eta; the recursion
-    mirrors the chain stage by stage. No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a
-    positive real part."""
-    m, hbar = config.mass, config.hbar
-    t, tau, eps = config.t, config.tau, derived.span
-    lam = m / (2.0 * hbar * eps)  # per-segment loop-kernel wavenumber scale
-
-    z0 = 1.0 / (2.0 * config.sigma0**2) - 1j * m / (2.0 * hbar * t)
-    kt = m / (hbar * t)
-    z1 = (
-        1.0 / (2.0 * config.beta**2)
-        + kt * kt / (4.0 * z0)
-        - 1j * (m / (4.0 * hbar * eps) + m / (2.0 * hbar * t))
-    )
-    z2 = (
-        1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * z1)
-        - 1j * m / (2.0 * hbar * eps)
-    )
-    z3 = (
-        1.0 / (2.0 * config.beta**2)
-        + lam * lam / (4.0 * z2)
-        - 1j * (m / (2.0 * hbar * tau) + m / (4.0 * hbar * eps))
-    )
+    """z-table as the chain's stage recursion: z0 = 1/(2 sigma0^2) - i kappa_0/2, then
+    z_k = 1/(2 beta^2) + kappa_(k-1)^2 / 4 z_(k-1) - i (kappa_(k-1) + kappa_k)/2 for k = 1..3, where
+    kappa = (k_t, lam, lam, k_tau) = (m/hbar t, m/2 hbar (epsilon + eta), m/2 hbar (epsilon + eta), m/hbar tau)
+    are the wavenumbers of the flight t, the two loop segments at ``derived.span`` and the flight tau
+    (``_kinematics``). No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a positive real part."""
+    kt, ktau, lam, _ = _kinematics(config, derived)
+    kappa = (kt, lam, lam, ktau)
+    z = [1.0 / (2.0 * config.sigma0**2) - 0.5j * kt]
+    for before, after in zip(kappa, kappa[1:]):
+        z.append(1.0 / (2.0 * config.beta**2) + before * before / (4.0 * z[-1]) - 0.5j * (before + after))
+    z0, z1, z2, z3 = z
 
     big_z = z0 * z1 * z2 * z3
     return ZTable(
@@ -164,16 +154,15 @@ def expanded_products(zt: ZTable) -> dict[str, complex]:
 
 
 def _kinematics(config: PhysicsConfig, derived: DerivedQuantities):
+    """The closed form's one kinematics record (k_t, k_tau, lam, D): the flight wavenumbers m/hbar t and
+    m/hbar tau, ``derive``'s loop-kernel scale lam = m/2 hbar (epsilon + eta), and D = d/2 beta^2."""
     m, hbar = config.mass, config.hbar
-    ktau = m / (hbar * config.tau)
-    lam = m / (2.0 * hbar * derived.span)
-    big_d = config.d / (2.0 * config.beta**2)
-    return ktau, lam, big_d
+    return m / (hbar * config.t), m / (hbar * config.tau), derived.lam, config.d / (2.0 * config.beta**2)
 
 
 def linear_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> dict[str, complex]:
     """Complex terms whose real parts sum to C2 and imaginary parts to gamma."""
-    ktau, lam, big_d = _kinematics(config, derived)
+    _, ktau, lam, big_d = _kinematics(config, derived)
     return {
         "linear_screen": -1j * ktau * big_d / (2.0 * zt.z3),
         "linear_z10": ktau * lam * big_d / (4.0 * zt.z10),
@@ -183,7 +172,7 @@ def linear_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: Derived
 
 def constant_coefficient_terms(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> dict[str, complex]:
     """Complex terms whose real parts sum to C3 and imaginary parts to theta."""
-    _, lam, big_d = _kinematics(config, derived)
+    _, _, lam, big_d = _kinematics(config, derived)
     d, beta = config.d, config.beta
     dd = big_d * big_d
     return {
@@ -292,15 +281,12 @@ def gouy_phase(zt: ZTable) -> float:
 
 def build_coefficients(zt: ZTable, config: PhysicsConfig, derived: DerivedQuantities) -> EltCoefficients:
     """Assemble the closed-form coefficient bundle from the z-table."""
-    m, hbar = config.mass, config.hbar
-    t, tau, eps = config.t, config.tau, derived.span
-    ktau = m / (hbar * tau)
+    _, ktau, _, _ = _kinematics(config, derived)
 
     big_z_mod = np.hypot(zt.gouy_zr, zt.gouy_zi)
     with np.errstate(all="ignore"):  # numpy cubes overflow to inf where a float ** raises; the check below names it
-        amplitude = np.sqrt(
-            np.float64(m) ** 3 * math.sqrt(math.pi) / (16.0 * np.float64(hbar) ** 3 * tau * t * eps * config.sigma0 * big_z_mod)
-        )
+        amplitude = np.sqrt(np.float64(config.mass) ** 3 * math.sqrt(math.pi) / (
+            16.0 * np.float64(config.hbar) ** 3 * config.tau * config.t * derived.span * config.sigma0 * big_z_mod))
 
     # full quadratic coefficient of the exponent is ktau^2/(4 z3) - i ktau/2
     quad = ktau * ktau / (4.0 * zt.z3)

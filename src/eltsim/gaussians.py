@@ -141,16 +141,16 @@ def propagate(form: GaussianForm, duration: float, config: PhysicsConfig) -> Gau
 def _through_slits(config: PhysicsConfig, slit: float, looped_via: float | None = None) -> GaussianForm:
     """Source packet -> flight t -> slit at ``slit`` -> flight tau -> screen; with ``looped_via``
     the path first loops to the slit there and back. Each loop segment takes the kernel
-    exp(i m (x2-x1)^2 / 4 hbar span), span = epsilon + eta as ``derive`` computes it, and the
-    constant sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
+    exp(i lam (x2-x1)^2 / 2) at ``derive``'s loop-kernel scale lam = m / (2 hbar span), span = epsilon + eta,
+    and the constant sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
     """
-    span = derive(config).span  # derive range-checks every divisor before any arithmetic
+    derived = derive(config)  # derive range-checks every divisor before any arithmetic
     with np.errstate(all="ignore"):  # a batch that overflows is named by the check below
         form = apply_slit(propagate(initial_packet(config), config.t, config), slit, config.beta)
         if looped_via is not None:
-            kappa = config.mass / (2.0 * config.hbar * span)
-            form = apply_slit(_integrate_quadratic(form, kappa), looped_via, config.beta)
-            form = _integrate_quadratic(form, kappa, _sqrt(config.mass / (4j * np.pi * config.hbar * span)))
+            form = apply_slit(_integrate_quadratic(form, derived.lam), looped_via, config.beta)
+            constant = _sqrt(config.mass / (4j * np.pi * config.hbar * derived.span))
+            form = _integrate_quadratic(form, derived.lam, constant)
             form = apply_slit(form, slit, config.beta)
         form = propagate(form, config.tau, config)
     return form.normalizable(config)

@@ -148,17 +148,19 @@ def check(ok, config: PhysicsConfig | None, describe, error: type[ValueError] = 
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Kinematics implied by the configuration: Delta p_x, Delta v_x, epsilon itself, and the time
-    ``span = epsilon + eta`` of one loop segment, at which every route evaluates its loop terms."""
+    """Kinematics implied by the configuration: Delta p_x, Delta v_x, epsilon itself, the time
+    ``span = epsilon + eta`` of one loop segment, at which every route evaluates its loop terms, and
+    the loop-kernel scale ``lam = m / (2 hbar span)`` that the chain and the closed form read."""
 
     delta_p: float
     delta_v: float
     epsilon: float
     span: float
+    lam: float
 
 
 def derive(config: PhysicsConfig) -> DerivedQuantities:
-    """Momentum uncertainty of the initial packet and the slit-to-slit time.
+    """Momentum uncertainty of the initial packet, the slit-to-slit time and the loop-kernel scale.
 
     The initial packet exp(-x^2/2 sigma0^2) is minimum-uncertainty, so
     Delta p_x = hbar / (sqrt(2) sigma0); epsilon = d / Delta v_x with
@@ -188,8 +190,8 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     with np.errstate(over="ignore", under="ignore"):
         width = 2.0 * np.square(config.sigma0)
         slit = 2.0 * np.square(config.beta)
-        # the closed form takes the loop-kernel scale m / (2 hbar span) to the fourth power
-        kernel = np.power(config.mass / loop_scale, 4)
+        lam = config.mass / loop_scale
+        kernel = np.power(lam, 4)  # the closed form takes the loop-kernel scale to the fourth power
     divisor(width, lambda at, where: f"packet width sigma0 = {at(config.sigma0)!r} m is out of range{where}: "
             f"2 sigma0^2 = {at(width)!r} m^2")
     divisor(slit, lambda at, where: f"slit width beta = {at(config.beta)!r} m is out of range{where}: "
@@ -204,7 +206,7 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
         lambda at, where: f"slit separation d = {at(config.d)!r} m is out of range{where}: "
         f"epsilon + eta = {at(span)!r} s and (m / 2 hbar (epsilon + eta))^4 = {at(kernel)!r} m^-8",
     )
-    return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon, span=span)
+    return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon, span=span, lam=lam)
 
 
 def validate_regime(config: PhysicsConfig, derived: DerivedQuantities | None = None) -> list[str]:

@@ -83,7 +83,7 @@ def _parse_corrupt(corrupt: str | None):
         return None, None
     name = corrupt
     component = "both"
-    if corrupt[-1] in ("R", "I"):
+    if corrupt[-1:] in ("R", "I"):
         name, component = corrupt[:-1], corrupt[-1]
     return name, component
 

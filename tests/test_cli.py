@@ -318,6 +318,11 @@ def test_verify_rejects_unknown_corrupt_target(config_path):
     assert main(["verify", "--config", config_path, "--skip-quadrature", "--corrupt-z", "z99"]) == 2
 
 
+def test_verify_refuses_an_empty_corrupt_target_by_name(config_path, capsys):
+    assert main(["verify", "--config", config_path, "--skip-quadrature", "--corrupt-z", ""]) == 2
+    assert "unknown z-table entry ''" in capsys.readouterr().err
+
+
 def test_verify_names_a_reference_that_underflows(tmp_path, capsys):
     # the chain underflows to 0 at every grid point: each wavefunction record fails with a NaN deviation
     config = tmp_path / "run.cfg"

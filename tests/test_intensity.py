@@ -329,3 +329,18 @@ def test_a_window_whose_peak_overflows_is_refused(config, coeffs):
     # C1 < 0: the envelope grows away from the centre, and the window's largest intensity is inf
     with pytest.raises(ProfileError, match="window intensity without a finite positive peak"):
         intensity.aggregate_visibility(dataclasses.replace(coeffs, c1=-1e6 * coeffs.c1), config)
+
+
+@pytest.mark.parametrize(
+    "chain, paths, w12",
+    [(gaussians.chain_nonexotic, (1, 2), 0.3 + 0.4j), (gaussians.chain_exotic, ("12", "21"), -0.2 + 0.7j)],
+    ids=["straight", "looped"],
+)
+def test_a_complex_coherence_shifts_the_fringes_by_its_phase(config, grid, chain, paths, w12):
+    # arg(w12) is neither 0 nor pi: the term's cos^2(gamma x + phi/2) takes both cos and sin
+    p, q = map(str, paths)
+    density = marking.CenterOfMassDensity({(p, p): 1.0, (q, q): 1.0, (p, q): w12, (q, p): w12.conjugate()})
+    psi_p, psi_q = (chain(path, config).evaluate(grid) for path in paths)
+    reference = np.abs(psi_p) ** 2 + np.abs(psi_q) ** 2 + 2.0 * (w12 * psi_p * psi_q.conjugate()).real
+    profile = branch_intensity(density, grid, config, "raw")
+    assert np.max(np.abs(profile.values - reference)) <= 1e-12 * np.max(reference)
