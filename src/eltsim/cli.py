@@ -432,7 +432,8 @@ def cmd_verify(args, config: PhysicsConfig):
         corrupt=args.corrupt_z,
     )
     code = EXIT_OK if report.passed else EXIT_VERIFY
-    extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "passed": report.passed}
+    extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "quadrature": not args.skip_quadrature,
+             "corrupt_z": args.corrupt_z, "passed": report.passed}
     return code, [report.render() + "\n"], solution, extra
 
 
@@ -499,8 +500,7 @@ def cmd_sweep(args, config: PhysicsConfig):
         coeffs = intensity.loop_coefficients(part)
         for start in range(0, coeffs.gamma.size, SWEEP_CHUNK):
             chunk = slice(start, start + SWEEP_CHUNK)
-            block = closedform.EltCoefficients(*(field[chunk] for field in vars(coeffs).values()))
-            agg[rows][chunk] = intensity.aggregate_visibility(block, swept_rows(part, chunk))
+            agg[rows][chunk] = intensity.aggregate_visibility(swept_rows(coeffs, chunk), swept_rows(part, chunk))
         # after the visibility, which names a row whose gamma vanishes by its swept value
         gamma[rows], spacing[rows], mu[rows] = coeffs.gamma, intensity.fringe_spacing(coeffs), coeffs.mu
 

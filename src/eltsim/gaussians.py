@@ -7,8 +7,10 @@ it, so a step carries Re(a) >= 0 and only a chain's result must have
 Re(a) > 0. Free propagation and Gaussian slit transmission map such forms
 to such forms via the identity  integral exp(-A y^2 + B y) dy =
 sqrt(pi/A) exp(B^2/4A)  for Re(A) > 0 (principal-branch square roots
-throughout). The chain is exact;
-every path amplitude and looped-path coefficient on the hot path comes from
+throughout). The chain is exact, and one ``chain(slits, config)`` builds
+every path from its sequence of slit centres; the commands build only path 1
+and loop 12 (``intensity``), whose mirrors at -x are path 2 and loop 21.
+Every path amplitude and looped-path coefficient on the hot path comes from
 it, and verification checks the closed form of :mod:`eltsim.closedform`
 against the looped-path coefficients read off it. Forms and chains
 broadcast: over a batch of configurations, whose fields ``params.batch``
@@ -82,10 +84,6 @@ class GaussianForm:
         out = self.prefactor * np.exp(exponent)
         return complex(out) if out.ndim == 0 else out
 
-    def mirrored(self) -> GaussianForm:
-        """The form at -x: b changes sign. A chain with d -> -d builds exactly this."""
-        return replace(self, b=-self.b)
-
 
 def _sqrt(z):
     # one configuration stays in Python's complex arithmetic, as in every other step: cmath.sqrt and
@@ -138,37 +136,18 @@ def propagate(form: GaussianForm, duration: float, config: PhysicsConfig) -> Gau
     return _integrate_quadratic(form, kappa, _sqrt(config.mass / (2j * np.pi * config.hbar * duration)))
 
 
-def _through_slits(config: PhysicsConfig, slit: float, looped_via: float | None = None) -> GaussianForm:
-    """Source packet -> flight t -> slit at ``slit`` -> flight tau -> screen; with ``looped_via``
-    the path first loops to the slit there and back. Each loop segment takes the kernel
+def chain(slits, config: PhysicsConfig) -> GaussianForm:
+    """Source packet -> flight t -> each slit centre of ``slits`` in turn -> flight tau -> screen: path 1 is
+    (d/2,), loop 12 (d/2, -d/2, d/2). Consecutive slits are joined by a loop segment, the kernel
     exp(i lam (x2-x1)^2 / 2) at ``derive``'s loop-kernel scale lam = m / (2 hbar span), span = epsilon + eta,
-    and the constant sqrt(m / 4 pi i hbar span) is multiplied once for both (the closed form's convention).
+    and a loop's constant sqrt(m / 4 pi i hbar span) is multiplied once, on its second segment (the closed
+    form's convention).
     """
     derived = derive(config)  # derive range-checks every divisor before any arithmetic
     with np.errstate(all="ignore"):  # a batch that overflows is named by the check below
-        form = apply_slit(propagate(initial_packet(config), config.t, config), slit, config.beta)
-        if looped_via is not None:
-            form = apply_slit(_integrate_quadratic(form, derived.lam), looped_via, config.beta)
-            constant = _sqrt(config.mass / (4j * np.pi * config.hbar * derived.span))
-            form = _integrate_quadratic(form, derived.lam, constant)
-            form = apply_slit(form, slit, config.beta)
+        form = apply_slit(propagate(initial_packet(config), config.t, config), slits[0], config.beta)
+        for segment, center in enumerate(slits[1:], 1):
+            constant = _sqrt(config.mass / (4j * np.pi * config.hbar * derived.span)) if segment % 2 == 0 else 1.0
+            form = apply_slit(_integrate_quadratic(form, derived.lam, constant), center, config.beta)
         form = propagate(form, config.tau, config)
     return form.normalizable(config)
-
-
-def chain_nonexotic(which: int, config: PhysicsConfig) -> GaussianForm:
-    """Straight-through path through slit 1 (center +d/2) or slit 2 (-d/2), each the other's ``mirrored()``."""
-    if which not in (1, 2):
-        raise ValueError(f"slit index must be 1 or 2, got {which!r}")
-    return _through_slits(config, config.d / 2.0 if which == 1 else -config.d / 2.0)
-
-
-def chain_exotic(loop: str, config: PhysicsConfig) -> GaussianForm:
-    """Looped path: slit 1 -> slit 2 -> slit 1 -> screen for loop "12".
-
-    Loop "21" is the same chain with d -> -d, so it is "12" ``mirrored()``.
-    """
-    if loop not in ("12", "21"):
-        raise ValueError(f'loop must be "12" or "21", got {loop!r}')
-    d = config.d if loop == "12" else -config.d
-    return _through_slits(config, d / 2.0, looped_via=-d / 2.0)

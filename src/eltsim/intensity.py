@@ -3,9 +3,10 @@
 Every profile is <x|rho|x> of a branch's reduced center-of-mass state, in one real-arithmetic
 form. Marking leaves no straight-loop coherence (``marking.post_slit_state``), so rho has two 2x2
 blocks, paths {1, 2} and loops {12, 21}, mirrors at the slits +/-d/2: ψ2(x) = ψ1(-x) and
-ψ21(x) = ψ12(-x). Each block's chain form P exp(-a x^2 + b x + c), ``gaussians.chain_nonexotic(1)``
-or ``chain_exotic("12")``, is read once into real coefficients: with u = 2(ln|P| + Re c - Re a x^2),
-v = 2 Re b x and gamma = Im b, |ψ(+/-x)|^2 = e^(u+/-v) and ψ(x) ψ(-x)* = e^u e^(2i gamma x). A
+ψ21(x) = ψ12(-x). So the commands build only path 1 and loop 12, each a ``gaussians.chain`` of
+its slit centres, (d/2,) and (d/2, -d/2, d/2). Each block's chain form P exp(-a x^2 + b x + c) is
+read once into real coefficients: with u = 2(ln|P| + Re c - Re a x^2), v = 2 Re b x and
+gamma = Im b, |ψ(+/-x)|^2 = e^(u+/-v) and ψ(x) ψ(-x)* = e^u e^(2i gamma x). A
 profile sums one term per detector label of the collapsed state, amplitudes alpha on ψ(x) and beta
 on ψ(-x):
 
@@ -241,7 +242,7 @@ def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str =
 def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
     """ψ12's coefficients off the loop-12 chain (= CHAIN_SIGN ψ12), one per configuration;
     mu lands on the closed form's branch, (-3pi/4, 5pi/4), because every Re z_k > 0."""
-    form = gaussians.chain_exotic("12", config)
+    form = gaussians.chain((config.d / 2.0, -config.d / 2.0, config.d / 2.0), config)
     return closedform.EltCoefficients(
         amplitude=np.abs(form.prefactor),
         c1=form.a.real,
@@ -264,7 +265,7 @@ def branch_intensity(branch, grid, config: PhysicsConfig, normalization: str = "
     straight, looped = _pairs(branch)
     blocks = []
     if straight:
-        form = gaussians.chain_nonexotic(1, config)
+        form = gaussians.chain((config.d / 2.0,), config)
         blocks.append(((np.log(np.abs(form.prefactor)) + form.c.real, form.a.real, form.b.real, form.b.imag), straight))
     if looped:
         coeffs = loop_coefficients(config) if coeffs is None else coeffs

@@ -119,10 +119,11 @@ def swept(config: PhysicsConfig) -> tuple[str, np.ndarray] | None:
     return next(iter(batch(config).items()), None)
 
 
-def swept_rows(config: PhysicsConfig, rows: slice | int) -> PhysicsConfig:
-    """The configurations ``rows`` of a batch: every field of the batch is cut alike. Its values were checked when it was built, so they are not checked again: this
-    costs a dict copy, not a second ``__post_init__``."""
-    part = object.__new__(PhysicsConfig)
+def swept_rows(config, rows: slice | int):
+    """The rows ``rows`` of a batch record, a configuration or the coefficients read off one: every array field is
+    cut alike. Its values were checked when it was built, so they are not checked again: this costs a dict copy,
+    not a second ``__post_init__``."""
+    part = object.__new__(type(config))
     part.__dict__.update(vars(config))
     part.__dict__.update({name: values[rows] for name, values in batch(config).items()})
     return part

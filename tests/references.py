@@ -1,8 +1,8 @@
 """Reference formulas that only the tests use: textbook intensity identities,
 the aggregate visibility of a sampled profile, the closed-form norm of a
-Gaussian form, adaptive quadrature of the free-particle integrals, and a
-50-digit transcription of the path-1 and loop-12 propagator chains with the
-screen profile of every named branch.
+Gaussian form, the slit centres of the four paths, adaptive quadrature of
+the free-particle integrals, and a 50-digit transcription of the path-1 and
+loop-12 propagator chains with the screen profile of every named branch.
 
 The quadratures deliberately avoid the Gaussian-form algebra in
 :mod:`eltsim.gaussians`: integrands are written out explicitly and
@@ -149,6 +149,13 @@ def free_propagated_value(config: PhysicsConfig, duration: float, x: float) -> c
 
     half = _DOMAIN_WIDTHS * config.sigma0
     return pref * complex_quad(integrand, -half, half)
+
+
+def slits(path: str, config: PhysicsConfig) -> tuple:
+    """The slit centres ``gaussians.chain`` takes for path "1", "2", "12" or "21", in the order the atom crosses
+    them: slit 1 is at +d/2 and slit 2 at -d/2, so path 2 and loop 21 are path 1 and loop 12 negated."""
+    one, two = config.d / 2.0, -config.d / 2.0
+    return {"1": (one,), "2": (two,), "12": (one, two, one), "21": (two, one, two)}[path]
 
 
 def _mp_flight(form, kappa, constant):

@@ -121,8 +121,8 @@ def test_acceptance_5_decoherence_and_duality(config):
     a1 = collapsed.amplitude(BasisLabel("1", "g", "10"))
     a2 = collapsed.amplitude(BasisLabel("2", "g", "01"))
     incoherent = (
-        abs(a1) ** 2 * np.abs(gaussians.chain_nonexotic(1, config).evaluate(grid)) ** 2
-        + abs(a2) ** 2 * np.abs(gaussians.chain_nonexotic(2, config).evaluate(grid)) ** 2
+        abs(a1) ** 2 * np.abs(gaussians.chain(references.slits("1", config), config).evaluate(grid)) ** 2
+        + abs(a2) ** 2 * np.abs(gaussians.chain(references.slits("2", config), config).evaluate(grid)) ** 2
     )
     assert np.max(np.abs(profile.values - incoherent)) <= 1e-12 * np.max(incoherent)
     _report(5, "marked state V=P=0, erased duality identity, cross-term-free ground branch")

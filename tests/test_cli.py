@@ -268,6 +268,19 @@ def test_verify_fault_injection_names_term(config_path, capsys):
     assert "worst offender: ztable/z5" in out
 
 
+@pytest.mark.parametrize(
+    "flags, quadrature, corrupt_z, passed",
+    [([], True, None, True), (["--skip-quadrature", "--corrupt-z", "z5R"], False, "z5R", False)],
+    ids=["plain", "fault-injected"],
+)
+def test_verify_manifest_records_how_the_check_ran(config_path, tmp_path, flags, quadrature, corrupt_z, passed):
+    # a fault-injected failure is told apart from a genuine one by the manifest alone
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--config", config_path, "--points", "21", *flags, "--out", str(out)]) == (0 if passed else 3)
+    manifest = json.loads((tmp_path / "v.txt.manifest.json").read_text())
+    assert (manifest["quadrature"], manifest["corrupt_z"], manifest["passed"]) == (quadrature, corrupt_z, passed)
+
+
 def test_verify_rejects_zero_points(config_path, capsys):
     assert main(["verify", "--config", config_path, "--points", "0", "--skip-quadrature"]) == 2
     assert "at least one point" in capsys.readouterr().err
@@ -680,10 +693,10 @@ def test_full_profile_memory_budget():
 
 
 def test_sweep_memory_is_the_csv_columns_at_200000_steps(config_path, tmp_path):
-    # one loop-12 chain per SWEEP_CHAIN rows: 10.97 MB at 200000 steps against 1.17 MB at 2000, where one chain
+    # one loop-12 chain per SWEEP_CHAIN rows: 11.0 MB at 200000 steps against 1.17 MB at 2000, where one chain
     # over every row peaked at 51.2 MB. Of the difference, 9.6 MB are the six CSV columns held for the rows
-    # (48 B per row) and up to 1 MB one chain block's temporaries; the range check's derive over every d value
-    # peaks at 6.4 MB beside the swept values, below that
+    # (48 B per row) and up to 1 MB one chain block's temporaries; the range check's derive and regime warnings
+    # over every d value peak at 8.2 MB beside the swept values, below that
     argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9"]
     peaks = []
     for steps in (2000, 200000):

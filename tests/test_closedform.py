@@ -16,6 +16,7 @@ from eltsim.closedform import (
     psi21,
 )
 from eltsim.params import derive, rubidium_config
+from references import slits
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ def _closed_vs_chain_max_dev(cfg, points=101):
     grid = np.linspace(-half, half, points)
     worst = 0.0
     for loop, fn in (("12", psi12), ("21", psi21)):
-        chain = gaussians.chain_exotic(loop, cfg).evaluate(grid)
+        chain = gaussians.chain(slits(loop, cfg), cfg).evaluate(grid)
         closed = CHAIN_SIGN * fn(grid, co)
         worst = max(worst, float(np.max(np.abs(closed - chain)) / np.max(np.abs(chain))))
     return worst

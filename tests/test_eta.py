@@ -8,6 +8,7 @@ import pytest
 from eltsim import closedform, gaussians, intensity, verification
 from eltsim.cli import main
 from eltsim.params import rubidium_config
+from references import slits
 
 CONFIG_TEXT = """\
 mass_kg = 1.44e-25
@@ -37,11 +38,13 @@ def test_elt_profile_is_the_peak_normalized_chain_sum(config_path, tmp_path):
     assert main(["intensity", "--config", config_path, "--branch", "elt", "--grid-points", "801", "--out", str(out)]) == 0
     body = _body(out)
     x = body[:, 0]
-    chain = np.abs(gaussians.chain_exotic("12", ETA).evaluate(x) + gaussians.chain_exotic("21", ETA).evaluate(x)) ** 2
+    chain = np.abs(gaussians.chain(slits("12", ETA), ETA).evaluate(x)
+                   + gaussians.chain(slits("21", ETA), ETA).evaluate(x)) ** 2
     assert np.max(np.abs(body[:, 1] - chain / chain.max())) <= 1e-12
     # eta moves the pattern: the eta = 0 profile on the same grid is not the same
     still = rubidium_config()
-    plain = np.abs(gaussians.chain_exotic("12", still).evaluate(x) + gaussians.chain_exotic("21", still).evaluate(x)) ** 2
+    plain = np.abs(gaussians.chain(slits("12", still), still).evaluate(x)
+                   + gaussians.chain(slits("21", still), still).evaluate(x)) ** 2
     assert np.max(np.abs(body[:, 1] - plain / plain.max())) > 1e-6
 
 
@@ -50,7 +53,8 @@ def test_sweep_gamma_is_im_b_of_the_eta_chain(config_path, tmp_path):
     argv = ["sweep", "--config", config_path, "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", "40"]
     assert main(argv + ["--out", str(out)]) == 0
     for d, gamma in _body(out)[:, [0, 2]]:
-        want = gaussians.chain_exotic("12", dataclasses.replace(ETA, d=float(d))).b.imag
+        config = dataclasses.replace(ETA, d=float(d))
+        want = gaussians.chain(slits("12", config), config).b.imag
         assert gamma == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -60,4 +64,4 @@ def test_chain_matches_quadrature_at_nonzero_eta(eta):
     report = verification.chain_vs_quadrature(closedform.solve(config))
     assert report.passed, report.render()
     # the loop coefficients the hot path reads come off that same chain
-    assert intensity.loop_coefficients(config).gamma == gaussians.chain_exotic("12", config).b.imag
+    assert intensity.loop_coefficients(config).gamma == gaussians.chain(slits("12", config), config).b.imag

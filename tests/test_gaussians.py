@@ -13,8 +13,7 @@ from eltsim.gaussians import (
     EvaluationError,
     GaussianForm,
     apply_slit,
-    chain_exotic,
-    chain_nonexotic,
+    chain,
     initial_packet,
     propagate,
 )
@@ -126,58 +125,51 @@ def test_a_step_may_carry_a_vanishing_real_part_but_a_result_may_not():
 
 def test_nonexotic_mirror_symmetry(config):
     grid = np.linspace(-2e-6, 2e-6, 41)
-    psi1 = chain_nonexotic(1, config).evaluate(grid)
-    psi2 = chain_nonexotic(2, config).evaluate(grid)
+    psi1 = chain(references.slits("1", config), config).evaluate(grid)
+    psi2 = chain(references.slits("2", config), config).evaluate(grid)
     scale = np.max(np.abs(psi1))
     assert np.max(np.abs(psi2 - psi1[::-1])) / scale < 1e-12
 
 
 def test_nonexotic_envelope_peaks_on_slit_side(config):
     grid = np.linspace(-2e-6, 2e-6, 2001)
-    psi1 = np.abs(chain_nonexotic(1, config).evaluate(grid))
+    psi1 = np.abs(chain(references.slits("1", config), config).evaluate(grid))
     assert grid[int(np.argmax(psi1))] > 0
 
 
 def test_exotic_mirror_symmetry(config):
     grid = np.linspace(-2e-6, 2e-6, 41)
-    p12 = chain_exotic("12", config).evaluate(grid)
-    p21 = chain_exotic("21", config).evaluate(grid)
+    p12 = chain(references.slits("12", config), config).evaluate(grid)
+    p21 = chain(references.slits("21", config), config).evaluate(grid)
     scale = np.max(np.abs(p12))
     assert np.max(np.abs(p21 - p12[::-1])) / scale < 1e-12
 
 
 def test_looped_amplitude_suppressed(config):
     grid = np.linspace(-2e-6, 2e-6, 101)
-    p12 = np.abs(chain_exotic("12", config).evaluate(grid))
-    p1 = np.abs(chain_nonexotic(1, config).evaluate(grid))
+    p12 = np.abs(chain(references.slits("12", config), config).evaluate(grid))
+    p1 = np.abs(chain(references.slits("1", config), config).evaluate(grid))
     assert np.all(p12 < p1)
 
 
 def test_chain_validity(config):
-    assert chain_exotic("12", config).a.real > 0
-    assert chain_nonexotic(1, config).a.real > 0
-
-
-def test_chain_argument_validation(config):
-    with pytest.raises(ValueError):
-        chain_nonexotic(3, config)
-    with pytest.raises(ValueError):
-        chain_exotic("11", config)
+    assert chain(references.slits("12", config), config).a.real > 0
+    assert chain(references.slits("1", config), config).a.real > 0
 
 
 def test_two_path_sum_reproduces_born_combination(config):
     from references import born_double_slit
 
     grid = np.linspace(-2e-6, 2e-6, 81)
-    psi1 = chain_nonexotic(1, config).evaluate(grid)
-    psi2 = chain_nonexotic(2, config).evaluate(grid)
+    psi1 = chain(references.slits("1", config), config).evaluate(grid)
+    psi2 = chain(references.slits("2", config), config).evaluate(grid)
     direct = np.abs(psi1 + psi2) ** 2
     assembled = born_double_slit(psi1, psi2)
     assert np.max(np.abs(assembled - direct)) <= 1e-12 * np.max(direct)
 
 
 def test_loop_chain_matches_direct_2d_quadrature(config):
-    form = chain_exotic("12", config)
+    form = chain(references.slits("12", config), config)
     xs = (0.0, 3e-7, -5e-7)
     chain_vals = [form.evaluate(x) for x in xs]
     scale = max(abs(v) for v in chain_vals)
@@ -201,7 +193,7 @@ def test_loop_quadrature_across_perturbed_configs():
             t=base.t * f[3],
             tau=base.tau * f[4],
         )
-        form = chain_exotic("12", cfg)
+        form = chain(references.slits("12", cfg), cfg)
         xs = np.linspace(-5e-7, 5e-7, 5)
         chain_vals = form.evaluate(xs)
         scale = np.max(np.abs(chain_vals))

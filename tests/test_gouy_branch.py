@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eltsim import closedform, gaussians, verification
 from eltsim.cli import build_parser, cmd_sweep
 from eltsim.params import rubidium_config
+from references import slits
 
 RUBIDIUM = rubidium_config()
 flight = st.floats(math.log(1e-9), math.log(1e-2))
@@ -29,7 +30,7 @@ def test_chain_is_chain_sign_times_closed_form(t, tau, d, sigma0, beta):
     )
     coeffs = closedform.solve(config).coeffs
     try:
-        chain = gaussians.chain_exotic("12", config).evaluate(0.0)
+        chain = gaussians.chain(slits("12", config), config).evaluate(0.0)
     except gaussians.EvaluationError:
         reject()
     with np.errstate(over="ignore", under="ignore"):

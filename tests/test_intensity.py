@@ -14,7 +14,7 @@ from eltsim.intensity import (
     fringe_spacing,
 )
 from eltsim.params import derive, rubidium_config
-from references import aggregate_visibility, born_double_slit, fringes_antifringes, visibility_predictability
+from references import aggregate_visibility, born_double_slit, fringes_antifringes, slits, visibility_predictability
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +154,8 @@ def test_ground_branch_has_no_cross_terms(config, grid):
     a1 = collapsed.amplitude(marking.BasisLabel("1", "g", "10"))
     a2 = collapsed.amplitude(marking.BasisLabel("2", "g", "01"))
     incoherent = (
-        abs(a1) ** 2 * np.abs(gaussians.chain_nonexotic(1, config).evaluate(grid)) ** 2
-        + abs(a2) ** 2 * np.abs(gaussians.chain_nonexotic(2, config).evaluate(grid)) ** 2
+        abs(a1) ** 2 * np.abs(gaussians.chain(slits("1", config), config).evaluate(grid)) ** 2
+        + abs(a2) ** 2 * np.abs(gaussians.chain(slits("2", config), config).evaluate(grid)) ** 2
     )
     assert np.max(np.abs(profile.values - incoherent)) <= 1e-12 * np.max(incoherent)
     assert np.allclose(profile.visibility, 0.0)
@@ -332,15 +332,15 @@ def test_a_window_whose_peak_overflows_is_refused(config, coeffs):
 
 
 @pytest.mark.parametrize(
-    "chain, paths, w12",
-    [(gaussians.chain_nonexotic, (1, 2), 0.3 + 0.4j), (gaussians.chain_exotic, ("12", "21"), -0.2 + 0.7j)],
+    "paths, w12",
+    [(("1", "2"), 0.3 + 0.4j), (("12", "21"), -0.2 + 0.7j)],
     ids=["straight", "looped"],
 )
-def test_a_complex_coherence_shifts_the_fringes_by_its_phase(config, grid, chain, paths, w12):
+def test_a_complex_coherence_shifts_the_fringes_by_its_phase(config, grid, paths, w12):
     # arg(w12) is neither 0 nor pi: the term's cos^2(gamma x + phi/2) takes both cos and sin
-    p, q = map(str, paths)
+    p, q = paths
     density = marking.CenterOfMassDensity({(p, p): 1.0, (q, q): 1.0, (p, q): w12, (q, p): w12.conjugate()})
-    psi_p, psi_q = (chain(path, config).evaluate(grid) for path in paths)
+    psi_p, psi_q = (gaussians.chain(slits(path, config), config).evaluate(grid) for path in paths)
     reference = np.abs(psi_p) ** 2 + np.abs(psi_q) ** 2 + 2.0 * (w12 * psi_p * psi_q.conjugate()).real
     profile = branch_intensity(density, grid, config, "raw")
     assert np.max(np.abs(profile.values - reference)) <= 1e-12 * np.max(reference)

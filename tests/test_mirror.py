@@ -7,6 +7,7 @@ import pytest
 
 from eltsim import closedform, gaussians, verification
 from eltsim.params import rubidium_config
+from references import slits
 from test_sweep import _count_calls
 
 CONFIGS = {
@@ -23,19 +24,21 @@ def _bits(form):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mirrored_chains_equal_the_chains_built_with_d_reversed_bit_for_bit(name):
     config = CONFIGS[name]
-    assert _bits(gaussians.chain_nonexotic(1, config).mirrored()) == _bits(gaussians.chain_nonexotic(2, config))
-    assert _bits(gaussians.chain_exotic("12", config).mirrored()) == _bits(gaussians.chain_exotic("21", config))
+    for path, mirror in (("1", "2"), ("12", "21")):
+        form = gaussians.chain(slits(path, config), config)
+        assert _bits(dataclasses.replace(form, b=-form.b)) == _bits(gaussians.chain(slits(mirror, config), config))
 
 
 def test_mirrored_evaluates_the_form_at_minus_x():
-    form = gaussians.chain_exotic("12", rubidium_config())
+    config = rubidium_config()
+    form = gaussians.chain(slits("12", config), config)
     grid = np.linspace(-1e-6, 1e-6, 41)
-    assert np.array_equal(form.mirrored().evaluate(grid), form.evaluate(-grid))
+    assert np.array_equal(dataclasses.replace(form, b=-form.b).evaluate(grid), form.evaluate(-grid))
 
 
 def test_closed_vs_chain_builds_the_loop_chain_once(monkeypatch):
     solution = closedform.solve(rubidium_config())
-    looped = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    chains = _count_calls(monkeypatch, gaussians, "chain")
     report = verification.closed_vs_chain(solution)
-    assert len(looped) == 1
+    assert [len(centres) for centres, _ in chains] == [3]
     assert [record.name for record in report.records] == ["closed-vs-chain/loop12", "closed-vs-chain/loop21"]

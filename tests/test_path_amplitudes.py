@@ -8,7 +8,7 @@ import pytest
 from eltsim import closedform, gaussians, intensity
 from eltsim.cli import BRANCHES, branch_profile, main
 from eltsim.params import rubidium_config
-from references import born_double_slit
+from references import born_double_slit, slits
 from test_sweep import _count_calls
 
 CONFIGS = {
@@ -34,11 +34,11 @@ def test_an_intensity_command_builds_each_chain_once_and_solves_nothing(tmp_path
     path = tmp_path / "run.cfg"
     path.write_text("mass_kg = 1.44e-25\nsigma0_m = 10e-9\nbeta_m = 10e-9\nd_m = 180e-9\nt_s = 20e-6\ntau_s = 20e-6\n"
                     "eta_s = 3e-7\namp_nonexotic_re = 1.0\namp_exotic_re = 0.05\n")
-    straight = _count_calls(monkeypatch, gaussians, "chain_nonexotic")
-    looped = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    chains = _count_calls(monkeypatch, gaussians, "chain")
     solves = _count_calls(monkeypatch, closedform, "build_coefficients")
     assert main(["intensity", "--config", str(path), "--branch", branch, "--grid-points", "11"]) == 0
-    assert (len(looped), len(straight), len(solves)) == (1, 0 if branch == "elt" else 1, 0)
+    built = [len(centres) for centres, _ in chains]  # slits per path: 3 for loop 12, 1 for path 1
+    assert (built.count(3), built.count(1), len(solves)) == (1, 0 if branch == "elt" else 1, 0)
 
 
 @pytest.mark.parametrize("normalization", ["raw", "peak"])
@@ -62,8 +62,8 @@ def test_full_profile_matches_the_closed_form_loops(name):
     straight = abs(config.amp_nonexotic) ** 2
     looped = abs(config.amp_exotic) ** 2
     reference = (
-        straight * born_double_slit(gaussians.chain_nonexotic(1, config).evaluate(grid), 0.0)
-        + straight * born_double_slit(gaussians.chain_nonexotic(2, config).evaluate(grid), 0.0)
+        straight * born_double_slit(gaussians.chain(slits("1", config), config).evaluate(grid), 0.0)
+        + straight * born_double_slit(gaussians.chain(slits("2", config), config).evaluate(grid), 0.0)
         + looped * born_double_slit(closedform.psi12(grid, coeffs), closedform.psi21(grid, coeffs))
     ) / (2.0 * (straight + looped))
     chain = branch_profile("full", grid, config, intensity.loop_coefficients(config), "raw")

@@ -12,6 +12,7 @@ import eltsim
 from eltsim import closedform, gaussians, verification
 from eltsim.cli import SWEEP_CHUNK, main
 from eltsim.params import derive, rubidium_config
+from references import slits
 
 CONFIG_TEXT = """\
 mass_kg = 1.44e-25
@@ -104,10 +105,11 @@ def test_verify_manifest_coefficients_reproduce_the_chain(config_path, tmp_path)
     assert main(["verify", "--config", config_path, "--skip-quadrature", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "verify.txt.manifest.json").read_text())
     coeffs = closedform.EltCoefficients(**manifest["coefficients"])
-    assert coeffs == closedform.solve(rubidium_config()).coeffs
+    config = rubidium_config()
+    assert coeffs == closedform.solve(config).coeffs
     grid = np.linspace(-1e-6, 1e-6, 41)
     for loop, psi in (("12", closedform.psi12), ("21", closedform.psi21)):
-        chain = gaussians.chain_exotic(loop, rubidium_config()).evaluate(grid)
+        chain = gaussians.chain(slits(loop, config), config).evaluate(grid)
         closed = closedform.CHAIN_SIGN * psi(grid, coeffs)
         assert np.max(np.abs(closed - chain)) / np.max(np.abs(chain)) < verification.DEFAULT_CHAIN_TOL
 

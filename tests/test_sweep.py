@@ -136,11 +136,12 @@ def test_sweep_evaluates_only_the_central_window(monkeypatch):
 
 
 def _count_calls(monkeypatch, module, name):
-    """Record every call of ``module.name``, through each eltsim namespace that imported it."""
+    """Record the positional arguments of every call of ``module.name``, through each eltsim namespace that
+    imported it."""
     original, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for namespace in [m for key, m in sys.modules.items() if key == "eltsim" or key.startswith("eltsim.")]:
@@ -151,16 +152,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_sweep_builds_one_chain_and_derives_independently_of_steps(monkeypatch):
     # the loop-12 chain runs once over the whole swept range; only the profile block is chunked
-    chains = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    chains = _count_calls(monkeypatch, gaussians, "chain")
     derives = _count_calls(monkeypatch, params, "derive")
     counts = []
     for steps in (1, 3 * SWEEP_CHUNK + 1):
         chains.clear()
         derives.clear()
         assert len(_sweep_rows(RUBIDIUM, "d", 90e-9, 360e-9, steps)) == steps
-        counts.append((len(chains), len(derives)))
+        counts.append(([len(centres) for centres, _ in chains], len(derives)))
     (chains_one, derives_one), (chains_many, derives_many) = counts
-    assert chains_one == chains_many == 1
+    assert chains_one == chains_many == [3]
     assert derives_one == derives_many
 
 
@@ -375,9 +376,9 @@ def test_a_window_failure_in_an_earlier_chain_block_is_named_before_a_later_chai
 def test_a_sweep_derives_its_swept_values_once(monkeypatch):
     # the regime warnings and the epsilon_s column read one derive of the whole swept range; every other
     # derive is the loop-12 chain's own, one per chain
-    chains = _count_calls(monkeypatch, gaussians, "chain_exotic")
+    chains = _count_calls(monkeypatch, gaussians, "chain")
     derives = _count_calls(monkeypatch, params, "derive")
     steps = 2 * cli.SWEEP_CHAIN + 1
     assert len(_sweep_rows(RUBIDIUM, "t", 2e-6, 2e-4, steps)) == steps
-    assert len(chains) == 3
+    assert [len(centres) for centres, _ in chains] == [3, 3, 3]
     assert len(derives) == 1 + len(chains)

@@ -42,14 +42,14 @@ def test_a_long_second_flight_passes_where_the_two_records_agree(tmp_path, capsy
 
 
 def _count_chains(monkeypatch):
-    """Record the loop of every loop-12 or loop-21 chain built from here on."""
-    built, chain = [], gaussians.chain_exotic
+    """Record the number of slits of every path ``gaussians.chain`` builds from here on: 3 for a loop."""
+    built, chain = [], gaussians.chain
 
-    def counting(loop, cfg):
-        built.append(loop)
-        return chain(loop, cfg)
+    def counting(centres, cfg):
+        built.append(len(centres))
+        return chain(centres, cfg)
 
-    monkeypatch.setattr(gaussians, "chain_exotic", counting)
+    monkeypatch.setattr(gaussians, "chain", counting)
     return built
 
 
@@ -59,7 +59,7 @@ def test_full_verification_builds_the_loop_chain_once(config, monkeypatch, quadr
     built = _count_chains(monkeypatch)
     report = verification.full_verification(solution, quadrature=quadrature)
     assert report.passed, report.render()
-    assert built == ["12"]
+    assert built == [3]
     names = [record.name for record in report.records]
     assert names[-3:] == WAVEFUNCTION_RECORDS if quadrature else names[-2:] == WAVEFUNCTION_RECORDS[:2]
 
@@ -69,7 +69,7 @@ def test_each_wavefunction_check_called_alone_builds_its_own_record(config, monk
     built = _count_chains(monkeypatch)
     assert verification.closed_vs_chain(solution).passed
     assert verification.chain_vs_quadrature(solution).passed
-    assert built == ["12", "12"]
+    assert built == [3, 3]
 
 
 def test_chain_vs_quadrature_alone_names_a_fringe_spacing_past_the_float_range_without_a_warning():
