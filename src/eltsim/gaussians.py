@@ -3,18 +3,20 @@
 Every intermediate state of the interferometer is an unnormalized complex
 Gaussian ``prefactor * exp(-a x^2 + b x + c)`` with Re(a) > 0. In doubles,
 Re(a) of a packet in a long flight may underflow to 0 until a slit restores
-it, so a step carries Re(a) >= 0 and only a chain's result must have
-Re(a) > 0. Free propagation and Gaussian slit transmission map such forms
-to such forms via the identity  integral exp(-A y^2 + B y) dy =
-sqrt(pi/A) exp(B^2/4A)  for Re(A) > 0 (principal-branch square roots
-throughout). The chain is exact, and one ``chain(slits, config)`` builds
-every path from its sequence of slit centres; the commands build only path 1
-and loop 12 (``intensity``), whose mirrors at -x are path 2 and loop 21.
-Every path amplitude and looped-path coefficient on the hot path comes from
-it, and verification checks the closed form of :mod:`eltsim.closedform`
-against the looped-path coefficients read off it. Forms and chains
-broadcast: over a batch of configurations, whose fields ``params.batch``
-returns, every coefficient is an array with one element per configuration.
+it, so a step may carry any value, and a chain's result is checked once,
+finite with Re(a) > 0: alone or batched, by ``GaussianForm.normalizable``,
+which names a batch's failing row. Free propagation and Gaussian slit
+transmission map such forms to such forms via the identity
+integral exp(-A y^2 + B y) dy = sqrt(pi/A) exp(B^2/4A)  for Re(A) > 0
+(principal-branch square roots throughout). The chain is exact, and one
+``chain(slits, config)`` builds every path from its sequence of slit
+centres; the commands build only path 1 and loop 12 (``intensity``), whose
+mirrors at -x are path 2 and loop 21. Every path amplitude and looped-path
+coefficient on the hot path comes from it, and verification checks the
+closed form of :mod:`eltsim.closedform` against the looped-path
+coefficients read off it. Forms and chains broadcast: over a batch of
+configurations, whose fields ``params.batch`` returns, every coefficient is
+an array with one element per configuration.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ class EvaluationError(ValueError):
 class GaussianForm:
     """prefactor * exp(-a x^2 + b x + c); a in 1/m^2, b in 1/m, c dimensionless.
 
-    The prefactor accumulates every chain normalization (propagator constants
-    and Gaussian-integral factors) as a single complex number so that branch
+    A form is not checked when it is made: a chain step may carry any value,
+    and ``normalizable`` checks the chain's result, alone or batched. The
+    prefactor accumulates every chain normalization (propagator constants and
+    Gaussian-integral factors) as a single complex number so that branch
     choices of the square roots cannot disagree between stages.
     """
 
@@ -52,14 +56,6 @@ class GaussianForm:
     b: complex = 0.0j
     c: complex = 0.0j
     prefactor: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        values = vars(self).values()
-        # a batch is checked once, by the chain that built it, which can name the configuration that fails;
-        # one configuration checks in Python scalar arithmetic what a step can carry (finite, Re(a) >= 0) and,
-        # when that fails, raises as a batch would; a chain's result is checked by normalizable(), as a batch
-        if np.ndarray not in set(map(type, values)) and not (all(map(cmath.isfinite, values)) and self.a.real >= 0):
-            self.normalizable()
 
     def normalizable(self, config: PhysicsConfig | None = None) -> GaussianForm:
         """This form, checked finite with Re(a) > 0 for every configuration of ``config`` it holds."""
@@ -117,7 +113,7 @@ def _integrate_quadratic(form: GaussianForm, kappa: float, constant: complex = 1
     caller supplies the propagator constant that belongs to the kernel.
     """
     half = 0.5j * kappa
-    big_a = form.a - half  # Re(A) = Re(a) >= 0
+    big_a = form.a - half  # Re(A) = Re(a)
     four_a = 4.0 * big_a
     return GaussianForm(
         a=kappa * kappa / four_a - half,
@@ -144,7 +140,7 @@ def chain(slits, config: PhysicsConfig) -> GaussianForm:
     form's convention).
     """
     derived = derive(config)  # derive range-checks every divisor before any arithmetic
-    with np.errstate(all="ignore"):  # a batch that overflows is named by the check below
+    with np.errstate(all="ignore"):  # a chain that overflows, alone or batched, is named by the check below
         form = apply_slit(propagate(initial_packet(config), config.t, config), slits[0], config.beta)
         for segment, center in enumerate(slits[1:], 1):
             constant = _sqrt(config.mass / (4j * np.pi * config.hbar * derived.span)) if segment % 2 == 0 else 1.0

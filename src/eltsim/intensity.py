@@ -50,7 +50,7 @@ import numpy as np
 from . import closedform, gaussians, marking
 from .params import PhysicsConfig, check
 
-NORMALIZATIONS = ("raw", "peak", "area")
+NORMALIZATIONS = ("raw", "peak")
 CENTRAL_FRINGES = 1.5  # half-width of the aggregate-visibility window, in fringe spacings
 # the aggregate-visibility lattice, k = 0 .. 120 steps of pi/|gamma|/80 (the step of an 801-point
 # default_grid), and cos(2 gamma k h) = cos(pi k/40) on it, whatever the configuration
@@ -68,8 +68,6 @@ class ProfileError(ValueError):
 class IntensityProfile:
     grid: np.ndarray  # finite, strictly increasing screen positions, m
     values: np.ndarray  # intensity per point, >= 0
-    branch: str
-    normalization: str
     visibility: np.ndarray | None = None  # pointwise fringe visibility in [0, 1]
 
     def __post_init__(self):
@@ -207,8 +205,8 @@ def _sums(x, blocks, normalization, n):
 
 def _profile(grid, blocks, normalization, label) -> IntensityProfile:
     """The sum of the terms of ``blocks``, (coefficients, amplitude pairs) each, as exp(E + ln bracket): a node is 0
-    whatever its envelope. ``peak`` and ``area`` shift every exponent by the profile's own largest log-value, so
-    nothing under- or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E, each term
+    whatever its envelope. ``peak`` shifts every exponent by the profile's own largest log-value, so nothing under-
+    or overflows that need not. Pointwise visibility: sum 2 q e^E over sum (1 + q^2) e^E, each term
     shifted by the largest E at that point (``_sums``).
     On a grid symmetric bit for bit, of blocks each ``_even``, the profile is even: its last n - n//2 points,
     x >= 0, are evaluated and the first n//2 are their mirror."""
@@ -226,12 +224,12 @@ def _profile(grid, blocks, normalization, label) -> IntensityProfile:
             column[:m] = column[m:][::-1][:m]
     if not np.isfinite(values).all():
         raise ProfileError(f"the {label} profile is not finite on this grid")
-    if normalization != "raw":
-        scale = values.max() if normalization == "peak" else np.trapezoid(values, grid) if grid.size > 1 else values[0]
+    if normalization == "peak":
+        scale = values.max()
         if not scale > 0:
-            raise ProfileError(f"cannot normalize the {label} profile: its {normalization} on this grid is {scale:.3g}")
+            raise ProfileError(f"cannot normalize the {label} profile: its peak on this grid is {scale:.3g}")
         values /= scale
-    return IntensityProfile(grid, values, label, normalization, vis)
+    return IntensityProfile(grid, values, vis)
 
 
 def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
@@ -264,12 +262,14 @@ def branch_intensity(branch, grid, config: PhysicsConfig, normalization: str = "
         label, branch = label or branch.name, branch.collapsed()
     straight, looped = _pairs(branch)
     blocks = []
-    if straight:
-        form = gaussians.chain((config.d / 2.0,), config)
-        blocks.append(((np.log(np.abs(form.prefactor)) + form.c.real, form.a.real, form.b.real, form.b.imag), straight))
-    if looped:
-        coeffs = loop_coefficients(config) if coeffs is None else coeffs
-        blocks.append(((np.log(coeffs.amplitude) + coeffs.c3, coeffs.c1, coeffs.c2, coeffs.gamma), looped))
+    with np.errstate(divide="ignore"):  # an amplitude that underflowed to 0 is ln 0 = -inf: its profile is 0
+        if straight:
+            form = gaussians.chain((config.d / 2.0,), config)
+            blocks.append(((np.log(np.abs(form.prefactor)) + form.c.real, form.a.real, form.b.real, form.b.imag),
+                           straight))
+        if looped:
+            coeffs = loop_coefficients(config) if coeffs is None else coeffs
+            blocks.append(((np.log(coeffs.amplitude) + coeffs.c3, coeffs.c1, coeffs.c2, coeffs.gamma), looped))
     return _profile(grid, blocks, normalization, label or "density")
 
 

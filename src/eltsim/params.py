@@ -169,44 +169,45 @@ def derive(config: PhysicsConfig) -> DerivedQuantities:
     epsilon ~ 3.5 us. Broadcasts over an array-valued field.
 
     The chain and the closed form derive first: a divisor of theirs (the span, never epsilon alone)
-    that under- or overflows is a ConfigError naming its field, before any arithmetic.
+    that under- or overflows is a ConfigError naming its field, before any arithmetic. A batch is
+    refused by the same named checks as one configuration, naming its first failing row, without a numpy warning.
     """
 
     def divisor(value, describe):  # a divisor that must neither underflow to 0 nor overflow
         check(np.isfinite(value) & (value > 0), config, describe)
 
-    delta_p = config.hbar / (math.sqrt(2.0) * config.sigma0)
-    delta_v = delta_p / config.mass
-    check(  # epsilon divides by it
-        delta_v > 0,
-        config,
-        lambda at, where: f"sigma0 = {at(config.sigma0)!r} m is out of range at mass = {at(config.mass)!r} kg: "
-        "Delta v_x underflows to 0",
-    )
-    epsilon = config.d / delta_v
-    span = epsilon + config.eta
-    loop_scale = 2.0 * config.hbar * span
-    divisor(loop_scale, lambda at, where: f"slit-to-slit time epsilon = {at(epsilon)!r} s is out of range{where}: "
-            f"2 hbar (epsilon + eta) = {at(loop_scale)!r} J s^2")
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(all="ignore"):  # a batch is refused by the named checks below, as one configuration is
+        delta_p = config.hbar / (math.sqrt(2.0) * config.sigma0)
+        delta_v = delta_p / config.mass
+        check(  # epsilon divides by it
+            delta_v > 0,
+            config,
+            lambda at, where: f"sigma0 = {at(config.sigma0)!r} m is out of range at mass = {at(config.mass)!r} kg"
+            f"{where}: Delta v_x underflows to 0",
+        )
+        epsilon = config.d / delta_v
+        span = epsilon + config.eta
+        loop_scale = 2.0 * config.hbar * span
+        divisor(loop_scale, lambda at, where: f"slit-to-slit time epsilon = {at(epsilon)!r} s is out of range"
+                f"{where}: 2 hbar (epsilon + eta) = {at(loop_scale)!r} J s^2")
         width = 2.0 * np.square(config.sigma0)
         slit = 2.0 * np.square(config.beta)
         lam = config.mass / loop_scale
         kernel = np.power(lam, 4)  # the closed form takes the loop-kernel scale to the fourth power
-    divisor(width, lambda at, where: f"packet width sigma0 = {at(config.sigma0)!r} m is out of range{where}: "
-            f"2 sigma0^2 = {at(width)!r} m^2")
-    divisor(slit, lambda at, where: f"slit width beta = {at(config.beta)!r} m is out of range{where}: "
-            f"2 beta^2 = {at(slit)!r} m^2")
-    for name in ("t", "tau"):
-        duration = getattr(config, name)
-        divisor(config.hbar * duration, lambda at, where: f"flight time {name} = {at(duration)!r} s is out of range"
-                f"{where}: hbar {name} = {at(config.hbar * duration)!r} J s^2")
-    check(
-        np.isfinite(kernel),
-        config,
-        lambda at, where: f"slit separation d = {at(config.d)!r} m is out of range{where}: "
-        f"epsilon + eta = {at(span)!r} s and (m / 2 hbar (epsilon + eta))^4 = {at(kernel)!r} m^-8",
-    )
+        divisor(width, lambda at, where: f"packet width sigma0 = {at(config.sigma0)!r} m is out of range{where}: "
+                f"2 sigma0^2 = {at(width)!r} m^2")
+        divisor(slit, lambda at, where: f"slit width beta = {at(config.beta)!r} m is out of range{where}: "
+                f"2 beta^2 = {at(slit)!r} m^2")
+        for name in ("t", "tau"):
+            duration = getattr(config, name)
+            divisor(config.hbar * duration, lambda at, where: f"flight time {name} = {at(duration)!r} s is out of "
+                    f"range{where}: hbar {name} = {at(config.hbar * duration)!r} J s^2")
+        check(
+            np.isfinite(kernel),
+            config,
+            lambda at, where: f"slit separation d = {at(config.d)!r} m is out of range{where}: "
+            f"epsilon + eta = {at(span)!r} s and (m / 2 hbar (epsilon + eta))^4 = {at(kernel)!r} m^-8",
+        )
     return DerivedQuantities(delta_p=delta_p, delta_v=delta_v, epsilon=epsilon, span=span, lam=lam)
 
 
@@ -219,7 +220,8 @@ def validate_regime(config: PhysicsConfig, derived: DerivedQuantities | None = N
     ``derived`` is ``derive(config)``, derived here when not given.
     """
     derived = derive(config) if derived is None else derived
-    flight = config.t + 2.0 * derived.span + config.tau
+    with np.errstate(over="ignore"):  # a flight past the float range is inf, and warned of as any long one
+        flight = config.t + 2.0 * derived.span + config.tau
     short = flight <= 0.01 * config.excited_lifetime
     if np.all(short):
         return []

@@ -156,7 +156,7 @@ def test_branch_profile_refuses_an_unknown_branch():
 
 def test_csv_numbers_are_exact_scientific_text():
     values = np.array([-0.0, 5e-324, 1e300])
-    profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, "hand", "raw", visibility=values)
+    profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, visibility=values)
     assert "".join(profile_csv(profile)) == (
         "x_m,intensity,visibility_pointwise\n"
         "-1.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
@@ -584,7 +584,7 @@ def test_profile_csv_blocks_match_the_row_wise_text():
     grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-9 - 1e-5
     values, vis = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     values[PROFILE_BLOCK - 1 : PROFILE_BLOCK + 1] = -0.0, 5e-324
-    blocks = list(profile_csv(intensity.IntensityProfile(grid, values, "hand", "raw", visibility=vis)))
+    blocks = list(profile_csv(intensity.IntensityProfile(grid, values, visibility=vis)))
     assert [block.count("\n") for block in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 1]
     rows = ["%.16e,%.16e,%.16e" % row for row in zip(grid.tolist(), values.tolist(), vis.tolist())]
     assert "".join(blocks) == "\n".join(["x_m,intensity,visibility_pointwise", *rows]) + "\n"

@@ -53,14 +53,6 @@ def test_a_density_with_unequal_path_weights_is_not_mirrored(config):
     assert np.array_equal(whole.visibility, np.concatenate([p.visibility for p in alone]))
 
 
-@pytest.mark.parametrize("points", [2001, 2000])
-def test_an_area_normalized_mirrored_profile_integrates_to_one(config, points):
-    grid = intensity.default_grid(intensity.loop_coefficients(config), points)
-    profile = branch_profile("full", grid, config, intensity.loop_coefficients(config), "area")
-    assert np.array_equal(profile.values, profile.values[::-1])
-    assert np.trapezoid(profile.values, grid) == pytest.approx(1.0, rel=1e-14)
-
-
 def _even_profile(n: int, seed: int, visibility=True) -> intensity.IntensityProfile:
     """A hand-built profile even bit for bit on n points, x = 0 at the centre of an odd n."""
     rng = np.random.default_rng(seed)
@@ -70,7 +62,7 @@ def _even_profile(n: int, seed: int, visibility=True) -> intensity.IntensityProf
         x -= x[0]
     values, vis = rng.uniform(0.0, 1.0, (2, n - m))
     grid, values, vis = (np.concatenate([sign * half[::-1][:m], half]) for sign, half in ((-1.0, x), (1.0, values), (1.0, vis)))
-    return intensity.IntensityProfile(grid, values, "hand", "raw", visibility=vis if visibility else None)
+    return intensity.IntensityProfile(grid, values, visibility=vis if visibility else None)
 
 
 def _rowwise(profile: intensity.IntensityProfile) -> str:

@@ -114,7 +114,7 @@ def test_propagate_rejects_nonpositive_duration(config):
 
 def test_degenerate_form_rejected():
     with pytest.raises(DegenerateChainError):
-        GaussianForm(a=-1.0 + 0j)
+        GaussianForm(a=-1.0 + 0j).normalizable()
 
 
 def test_a_step_may_carry_a_vanishing_real_part_but_a_result_may_not():

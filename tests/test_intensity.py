@@ -63,12 +63,6 @@ def test_elt_secondary_maxima_spacing(coeffs):
     assert np.all(np.abs(gaps - spacing) < 0.02 * spacing)
 
 
-def test_area_normalization(coeffs, grid):
-    profile = elt_intensity(grid, coeffs, "area")
-    area = np.trapezoid(profile.values, grid)
-    assert area == pytest.approx(1.0, rel=1e-12)
-
-
 def test_unknown_normalization(coeffs, grid):
     with pytest.raises(ProfileError):
         elt_intensity(grid, coeffs, "linear")
@@ -78,7 +72,7 @@ def test_empty_and_unsorted_grids(coeffs):
     with pytest.raises(ProfileError):
         elt_intensity(np.array([]), coeffs)
     with pytest.raises(ProfileError):
-        IntensityProfile(np.array([1.0, 0.5]), np.array([1.0, 1.0]), "x", "raw")
+        IntensityProfile(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
 
 
 def test_born_identities():
@@ -233,7 +227,7 @@ def test_a_profile_without_a_positive_peak_is_not_normalized(config):
     ground, _ = marking.measure_internal(state)
     _, antifringes = marking.eraser_basis_single_detector(ground.collapsed())
     grid = np.zeros(1)
-    for normalization in ("peak", "area"):
+    for normalization in ("peak",):
         with pytest.raises(ProfileError, match=f"cannot normalize the stub profile: its {normalization} on this grid is 0"):
             branch_intensity(antifringes, grid, config, normalization, label="stub")
     assert branch_intensity(antifringes, grid, config, "raw", label="stub").values.tolist() == [0.0]
@@ -292,7 +286,7 @@ def test_lattice_visibility_ignores_the_last_bit_of_gamma(tau):
 
 def test_a_profile_on_an_empty_grid_is_refused():
     with pytest.raises(ProfileError, match="empty grid"):
-        IntensityProfile(np.array([]), np.array([]), "x", "raw")
+        IntensityProfile(np.array([]), np.array([]))
 
 
 def test_a_profile_of_an_unknown_object_is_refused(config, grid):
@@ -317,7 +311,7 @@ def test_a_grid_needs_a_point(coeffs):
 def test_a_profile_on_a_grid_that_is_not_finite_is_refused(points):
     # NaN compares neither way, and -inf, 0, inf increases strictly
     with pytest.raises(ProfileError, match="grid must be finite and strictly increasing"):
-        IntensityProfile(np.array(points), np.zeros(len(points)), "x", "raw")
+        IntensityProfile(np.array(points), np.zeros(len(points)))
 
 
 def test_a_profile_beyond_the_float_range_is_refused(coeffs, grid):

@@ -201,3 +201,60 @@ def test_a_sweep_whose_fringe_spacing_overflows_is_named_without_a_warning(tmp_p
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: no finite peak shift of the visibility window at beta = 1e+140: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, parameter, bounds, named",
+    [
+        # the chain overflows before d enters it: its result is checked once, and the row is named
+        ({"mass_kg": "1e116"}, "d", ("1e-7", "2e-7"), "non-normalizable Gaussian form at d = 1e-07: "),
+        ({"sigma0_m": "1e300"}, "d", ("1e-7", "2e-7"),
+         "sigma0 = 1e+300 m is out of range at mass = 1.44e-25 kg at d = 1e-07: Delta v_x underflows to 0"),
+        # derive's arithmetic on a batch under- or overflows on the way to its named check
+        ({}, "d", ("1e304", "1e308"), "slit-to-slit time epsilon = inf s is out of range at d = 5.0005e+307: "),
+        ({}, "sigma0", ("1e-320", "1e-304"), "slit-to-slit time epsilon = 0.0 s is out of range at sigma0 = 1e-320: "),
+        ({"hbar_Js": "1e304"}, "sigma0", ("1e-7", "2e-7"),
+         "slit-to-slit time epsilon = 0.0 s is out of range at sigma0 = 1e-07: "),
+    ],
+    ids=["mass-1e116", "sigma0-1e300", "d-1e308", "sigma0-1e-320", "hbar-1e304"],
+)
+def test_a_sweep_that_degenerates_names_its_row_without_a_warning(tmp_path, capsys, overrides, parameter, bounds,
+                                                                    named):
+    config = _config(tmp_path, **overrides)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config), "--parameter", parameter, "--range", *bounds, "--steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {named}" in err and "Traceback" not in err and "Warning" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_sweep_whose_flight_overflows_warns_once_without_a_numpy_warning(tmp_path, capsys):
+    # 2 (epsilon + eta) overflows: the flight is inf, past the lifetime limit, and the rows are still written
+    config = _config(tmp_path, eta_s="1e308")
+    argv = ["sweep", "--config", str(config), "--parameter", "d", "--range", "1e-7", "2e-7", "--steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and len(captured.out.splitlines()) == 4
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err and "Warning" not in captured.err
+    assert err[0].startswith("warning: total flight time inf s exceeds 1% of the excited-state lifetime")
+    assert "at d = 1e-07, the first of 3 of 3 swept values that do" in err[0]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_profile_whose_amplitude_underflows_is_refused_without_a_warning(tmp_path, capsys):
+    # at mass 1e-100 kg and t = 1e264 s the loop chain's amplitude underflows to 0: ln 0 = -inf, a profile of 0
+    config = _config(tmp_path, mass_kg="1e-100", t_s="1e264")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["intensity", "--config", str(config), "--grid-points", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: cannot normalize the elt profile: its peak on this grid is 0" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
