@@ -1,13 +1,17 @@
 """Command-line surface: intensity profiles, verification, state reports, sweeps.
 
-Each ``cmd_*`` returns its exit code, its text as an iterable of string
-blocks, the closed-form solution of its configuration (``closedform.solve``)
+Each ``cmd_*`` returns its exit code, its output as an iterable of blocks of
+bytes, the closed-form solution of its configuration (``closedform.solve``)
 and its manifest fields. Every command runs every check before its first
 byte: the checks run before the command returns, and the blocks are then
 made as they are read. ``intensity`` yields its CSV ``PROFILE_BLOCK`` rows
 at a time, ``sweep`` ``SWEEP_BLOCK`` rows at a time, ``verify`` and
 ``states`` their whole report as one block; ``csv_block`` formats every CSV
-row. ``main`` writes the blocks as they arrive to stdout, or with ``--out``
+row. Blocks stay bytes from layout to file: a laid-out CSV block is its numpy
+byte buffer itself, and ``verify`` and ``states`` encode their report once.
+``main`` writes the blocks as they arrive to stdout's binary buffer, so stdout
+carries the bytes ``--out`` writes on every platform (a stream without a
+buffer, such as ``io.StringIO``, gets them decoded), or with ``--out``
 to ``<out>.tmp``, then the reproducibility record from that solution to
 ``<out>.manifest.json.tmp``, and moves both into place only when both are
 complete, after refusing a target that is a directory: a failing command
@@ -32,7 +36,8 @@ verification failure, 4 I/O error. The parser owns the choices: an unknown
 branch, measurement or sweep parameter is argparse's exit 2 with its usage
 text, and ``--config`` and ``--out`` are declared once, for every
 subcommand. A flag's negative value may follow it after a space, exponent
-and all: ``--grid-min -1e-6`` is ``--grid-min=-1e-6``.
+and float's digit-group underscores and all: ``--grid-min -1e-6`` is
+``--grid-min=-1e-6``.
 CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
 ``csv_block`` makes each block's text in numpy, byte for byte the text of
@@ -48,8 +53,12 @@ default-grid profile is (``intensity`` module docstring), from its x < 0
 half: each x > 0 block is the byte buffer of its mirror block, rows
 reversed and x's sign byte dropped, compacted where that block was. It holds
 those buffers, about 35 bytes per grid point, until the second half is
-written. No block of such a profile crosses x = 0; a custom grid through 0
-is written block by block, and its block where x crosses 0 is compacted.
+written. Where its x < 0 half has two blocks or more, they are laid out
+alternately on the calling thread and on one worker thread (``_in_order``),
+in order, so two blocks' temporaries are in flight at once; a worker's
+exception is raised in the calling thread. No block of such a profile
+crosses x = 0; a custom grid through 0 is written block by block, and its
+block where x crosses 0 is compacted.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 
 The ``eltsim`` console script and ``python -m eltsim.cli`` run ``console``:
@@ -102,8 +111,11 @@ SWEEP_CHAIN = 4096  # configurations per loop-12 chain: a 2000-step sweep still 
 SWEEP_BLOCK = 1024  # sweep CSV rows per block: a block's ~80 numpy calls cost more than 256 rows of numbers. A warm
 # 2000-step sweep took 10.1 ms at 256 rows, 9.0 ms at 1024 (1.13 MB tracemalloc peak) and 8.7 ms at 2048, at 1.69 MB
 # over the 1.42 MB budget of tests/test_cli.py::test_sweep_block_memory_budget (medians, 2-vCPU shared machine)
-PROFILE_BLOCK = 4096  # intensity CSV rows per block: 0.3 MB of text at a 1.49 MB tracemalloc peak (budget 2 MB)
-# per csv_block call; an even profile's x < 0 buffers are held beside it, 7 MB at 200001 points (8.4 MB peak). The
+PROFILE_BLOCK = 6144  # intensity CSV rows per block: 0.43 MB of bytes at a 1.55 MB tracemalloc peak (budget 2 MB)
+# per csv_block call, 252 B per row, as _scaled and _digits drop each temporary once it is dead. Two threads lay out
+# an even profile's x < 0 blocks, two blocks' temporaries at once, beside its held buffers: 7 MB at 200001 points
+# (8.0-9.1 MB peak, by the threads' timing). Two threads lay out blocks 1.02x as fast as one at 4096 rows, whose
+# numpy calls are too short to outlast a GIL handoff, 1.41x at 6144 and 1.63x at 8192 (2-vCPU shared machine). The
 # profile's own evaluation peaks lower, 7.2 MB for full and 5.0 MB for elt at 200001 points, so the writer sets the
 # peak of a dense intensity command
 
@@ -155,23 +167,29 @@ _SHIFT, _HI_BIG, _HI_SMALL, _LO = _power_table()
 
 
 def _scaled(a: np.ndarray, row: np.ndarray):
-    """n = floor(y) as int64 and y's fraction, y = |x| * 10**(16 - E) for a = |x| and row = E - _E_MIN."""
+    """n = floor(y) as int64 and y's fraction, y = |x| * 10**(16 - E) for a = |x| and row = E - _E_MIN.
+    At most seven arrays of a's size are live at once; ``a`` itself is left as it is."""
     a = np.ldexp(a, _SHIFT.take(row))
-    big, small, lo = _HI_BIG.take(row), _HI_SMALL.take(row), _LO.take(row)
-    p = np.add(big, small)
+    p = _HI_BIG.take(row)
+    p += _HI_SMALL.take(row)  # hi, exactly
     p *= a  # fl(a * hi)
     a_big = np.multiply(a, 134217729.0)
     a_small = np.subtract(a_big, a)
     a_big -= a_small
     np.subtract(a, a_big, out=a_small)
+    a *= _LO.take(row)  # a * lo, the last term of t
+    big = _HI_BIG.take(row)
     t = np.multiply(a_big, big)  # err = ((a_big big - p) + a_big small + a_small big) + a_small small, exact
     t -= p
+    small = _HI_SMALL.take(row)
     t += np.multiply(a_big, small, out=a_big)
     t += np.multiply(a_small, big, out=big)
     t += np.multiply(a_small, small, out=small)
-    t += np.multiply(a, lo, out=lo)
+    del a_big, a_small, big, small
+    t += a
     whole = np.floor(t, out=a)
     n = p.astype(np.int64)
+    del p
     n += whole.astype(np.int64)
     return n, np.subtract(t, whole, out=t)
 
@@ -222,7 +240,9 @@ def _run(buf: np.ndarray, start: int, item) -> np.ndarray:
 def _digits(x: np.ndarray):
     """Per number of x, its ``_FMT`` text in parts: the table row E - _E_MIN of its decade E, its leading digit
     and the point, and its 16 digits after the point, as 2- and 16-byte void items; or None where x holds nan,
-    inf or a number whose fraction lies within ``_TIE_BOUND`` of 1/2, which Python's % formats instead."""
+    inf or a number whose fraction lies within ``_TIE_BOUND`` of 1/2, which Python's % formats instead. Each
+    array is dropped once it is dead, and take's indices are made as intp: this and ``_scaled`` set a block's
+    peak (``PROFILE_BLOCK``)."""
     a = np.abs(x)
     if not np.isfinite(a).all():
         return None
@@ -235,23 +255,28 @@ def _digits(x: np.ndarray):
     if off.size:
         row[off] += np.where(n[off] < 10**16, -1, 1)
         n[off], frac[off] = _scaled(a[off], row[off])
+    del a
     frac -= 0.5  # the fraction's distance above 1/2: n rounds up where it is positive
     n += frac > 0
     if (np.abs(frac, out=frac) <= _TIE_BOUND).any():
         return None
+    del frac
     carry = n == 10**17  # rounded up into the next decade
     n[carry] = 10**16
     row += carry
     n[zero] = 0
     hi = n // 10**8
-    lo = (n - hi * 10**8).astype(np.uint32)
+    n -= hi * 10**8
+    lo = n.astype(np.uint32)
+    del n
     hi = hi.astype(np.uint32)
     lead = hi // 10**8
     hi -= lead * 10**8
-    quads = np.empty((x.size, 4), np.uint32)  # the 16 digits after the point, four at a time
+    quads = np.empty((x.size, 4), np.intp)  # the 16 digits after the point, four at a time, as take's own indices
     for j, part in ((0, hi), (2, lo)):
-        quads[:, j] = part // 10**4
-        quads[:, j + 1] = part - quads[:, j] * 10**4
+        quads[:, j] = high = part // 10**4
+        part -= high * 10**4
+        quads[:, j + 1] = part
     return row, _LEAD.take(lead), _DIGITS4.take(quads).view("V16").ravel()
 
 
@@ -281,21 +306,69 @@ def _layout(x: np.ndarray):
     return buf, negative.all(axis=1).tolist() != signed or long.all(axis=1).tolist() != wide
 
 
-def _text(buf: np.ndarray, compact: bool) -> str:
-    """A laid-out buffer's text, its 0 bytes dropped where ``compact`` says a slot left some."""
-    return str((buf[buf != 0] if compact else np.ascontiguousarray(buf)).data, "ascii")
+def _text(buf: np.ndarray, compact: bool) -> np.ndarray:
+    """A laid-out buffer's bytes, contiguous, its 0 bytes dropped where ``compact`` says a slot left some: the
+    buffer itself where it is contiguous and not compacted."""
+    return buf[buf != 0] if compact else np.ascontiguousarray(buf)
+
+
+def _block(*columns):
+    """``csv_block``'s bytes, as a bytes-like object: a laid-out buffer, or Python's % text encoded."""
+    x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
+    if not x.shape[1]:
+        return b""  # an empty buffer holds no strided view
+    laid = _layout(x)
+    if laid is None:  # a number the layout cannot settle: the whole block is Python's % text
+        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist()).encode("ascii")
+    return _text(*laid)
 
 
 def csv_block(*columns) -> str:
     """One CSV row, ending in a newline, per element of the broadcast 1-D columns, each number in ``_FMT``:
-    the same bytes as Python's ``%``, made a block at a time in numpy."""
-    x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
-    if not x.shape[1]:
-        return ""  # an empty buffer holds no strided view
-    laid = _layout(x)
-    if laid is None:  # a number the layout cannot settle: the whole block is Python's % text
-        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist())
-    return _text(*laid)
+    the same bytes as Python's ``%``, made a block at a time in numpy. The commands write ``_block``'s bytes."""
+    return str(_block(*columns), "ascii")
+
+
+def _in_order(lay, items):
+    """Every item and ``lay(item)``, in order. Where there are two items or more, one worker thread lays out
+    the odd ones while this thread lays out the even ones; an exception of the worker's is raised here, at its
+    item. Closing the generator stops the worker after its current item and joins it."""
+    if len(items) < 2:
+        yield from ((item, lay(item)) for item in items)
+        return
+    import threading  # numpy has imported it already
+
+    done = {}  # odd index: (result, exception)
+    ready = threading.Semaphore(0)
+    stop = threading.Event()
+
+    def work():
+        for k in range(1, len(items), 2):
+            if stop.is_set():
+                return
+            try:
+                done[k] = lay(items[k]), None
+            except BaseException as exc:  # handed to the caller, which raises it
+                done[k] = None, exc
+                return
+            finally:
+                ready.release()
+
+    worker = threading.Thread(target=work, name="eltsim-layout")
+    worker.start()
+    try:
+        for k, item in enumerate(items):
+            if k % 2 == 0:
+                yield item, lay(item)
+                continue
+            ready.acquire()
+            result, exc = done.pop(k)
+            if exc is not None:
+                raise exc
+            yield item, result
+    finally:
+        stop.set()
+        worker.join()
 
 
 def _warn(config: PhysicsConfig) -> DerivedQuantities:
@@ -389,31 +462,34 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.
 
 
 def profile_csv(profile: intensity.IntensityProfile):
-    """The profile's CSV text: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
-    is laid out from its first m = n//2 rows, x < 0, a block at a time; rows m ... n - m, the centre row of an
-    odd n, follow as they are, and the rows x > 0 are the first blocks' buffers in reverse order without x's
-    sign byte. Those buffers are held until the second half is written, about 35 bytes per point. An uneven
-    profile is that layout with m = 0: every row as it is."""
+    """The profile's CSV bytes: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
+    is laid out from its first m = n//2 rows, x < 0, a block at a time, two blocks at once on two threads
+    (``_in_order``); rows m ... n - m, the centre row of an odd n, follow as they are, and the rows x > 0 are
+    the first blocks' buffers in reverse order without x's sign byte. Those buffers are held until the second
+    half is written, about 35 bytes per point. An uneven profile is that layout with m = 0: every row as it
+    is."""
     vis = 0.0 if profile.visibility is None else profile.visibility
     grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
-    yield "x_m,intensity,visibility_pointwise\n"
+    yield b"x_m,intensity,visibility_pointwise\n"
     n, m = grid.size, grid.size // 2
     if not (np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
             np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))):
         m = 0
+    def lay(rows):
+        return _layout(np.stack([grid[rows], values[rows], vis[rows]]))
+
     held = []  # per block of x < 0: its rows, and its buffer, or None for Python's % text
-    for start in range(0, m, PROFILE_BLOCK):
-        rows = slice(start, min(start + PROFILE_BLOCK, m))
-        laid = _layout(np.stack([grid[rows], values[rows], vis[rows]]))
+    blocks = [slice(start, min(start + PROFILE_BLOCK, m)) for start in range(0, m, PROFILE_BLOCK)]
+    for rows, laid in _in_order(lay, blocks):
         held.append((rows, laid))
-        yield csv_block(grid[rows], values[rows], vis[rows]) if laid is None else _text(*laid)
+        yield _block(grid[rows], values[rows], vis[rows]) if laid is None else _text(*laid)
     for start in range(m, n - m, PROFILE_BLOCK):
         rows = slice(start, min(start + PROFILE_BLOCK, n - m))
-        yield csv_block(grid[rows], values[rows], vis[rows])
+        yield _block(grid[rows], values[rows], vis[rows])
     for rows, laid in reversed(held):  # x > 0: every number as at -x, less x's sign, the first byte of a row
         if laid is None:
             mirror = slice(n - rows.stop, n - rows.start)
-            yield csv_block(grid[mirror], values[mirror], vis[mirror])
+            yield _block(grid[mirror], values[mirror], vis[mirror])
         else:
             buf, compact = laid
             yield _text(buf[::-1, 1:], compact)
@@ -446,7 +522,7 @@ def cmd_verify(args, config: PhysicsConfig):
     code = EXIT_OK if report.passed else EXIT_VERIFY
     extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "quadrature": not args.skip_quadrature,
              "corrupt_z": args.corrupt_z, "passed": report.passed}
-    return code, [report.render() + "\n"], solution, extra
+    return code, [(report.render() + "\n").encode()], solution, extra
 
 
 def _prob(p: float) -> str:
@@ -487,7 +563,7 @@ def cmd_states(args, config: PhysicsConfig):
     lines.append("reduced center-of-mass weight matrix (paths " + ", ".join(paths) + "):")
     for row in mat:
         lines.append("  " + "  ".join(f"{w.real:+.12e}{w.imag:+.12e}j" for w in row))
-    return EXIT_OK, ["\n".join(lines) + "\n"], solution, {"measurement": args.measurement}
+    return EXIT_OK, [("\n".join(lines) + "\n").encode()], solution, {"measurement": args.measurement}
 
 
 def cmd_sweep(args, config: PhysicsConfig):
@@ -517,23 +593,25 @@ def cmd_sweep(args, config: PhysicsConfig):
         gamma[rows], spacing[rows], mu[rows] = coeffs.gamma, intensity.fringe_spacing(coeffs), coeffs.mu
 
     def blocks():
-        yield "param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
+        yield b"param_value,epsilon_s,gamma_et,fringe_spacing_m,aggregate_visibility,mu_et_rad\n"
         for start in range(0, values.size, SWEEP_BLOCK):
             rows = slice(start, start + SWEEP_BLOCK)
-            yield csv_block(values[rows], epsilon[rows], gamma[rows], spacing[rows], agg[rows], mu[rows])
+            yield _block(values[rows], epsilon[rows], gamma[rows], spacing[rows], agg[rows], mu[rows])
 
     extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
     return EXIT_OK, blocks(), _reference(args, config), extra
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but an argument that reads as a negative float, exponent, inf and nan included,
-    is a value and not a flag: argparse's own pattern (Python 3.11) has no exponent, so it took the
-    ``-1e-6`` of ``--grid-min -1e-6`` for a flag. ``add_subparsers`` makes each subparser of this class."""
+    """argparse's parser, but an argument that reads as a negative float as ``float`` reads it, digit-group
+    underscores, exponent, inf and nan included, is a value and not a flag: argparse's own pattern (Python
+    3.11) has no exponent, so it took the ``-1e-6`` of ``--grid-min -1e-6`` for a flag. ``add_subparsers``
+    makes each subparser of this class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        number = r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$"
+        digits = r"\d(_?\d)*"  # float's own digit groups: one underscore at most between two digits
+        number = rf"^-(({digits}(\.({digits})?)?|\.{digits})(e[+-]?{digits})?|inf|infinity|nan)$"
         self._negative_number_matcher = re.compile(number, re.IGNORECASE)
 
 
@@ -585,7 +663,7 @@ def _write_files(out, blocks, solution: closedform.Solution, command: str, extra
             raise IsADirectoryError(f"{target} is a directory")
     staged = (f"{out}.tmp", f"{manifest}.tmp")
     try:
-        with open(staged[0], "w", encoding="utf-8", newline="") as fh:
+        with open(staged[0], "wb") as fh:
             fh.writelines(blocks)
         write_manifest(staged[1], solution, command, extra)
         os.replace(staged[0], out)
@@ -599,13 +677,24 @@ def _write_files(out, blocks, solution: closedform.Solution, command: str, extra
         raise
 
 
+def _write_stdout(blocks):
+    """Write the blocks to stdout's binary buffer, after the text already written to stdout, so stdout holds
+    the bytes ``--out`` would; a text stream without a buffer (``io.StringIO``) gets them decoded."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(str(block, "utf-8") for block in blocks)
+        return
+    sys.stdout.flush()
+    buffer.writelines(blocks)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         code, blocks, solution, extra = args.func(args, config)
         if args.out is None:
-            sys.stdout.writelines(blocks)
+            _write_stdout(blocks)
         else:
             _write_files(args.out, blocks, solution, args.command, extra)
         return code

@@ -1,13 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import platform
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from eltsim import closedform, intensity, params, verification
+from eltsim import cli, closedform, intensity, params, verification
 from eltsim.cli import BRANCHES, PROFILE_BLOCK, SWEEP_CHUNK, branch_profile, main, profile_csv
 
 CONFIG_TEXT = """\
@@ -157,14 +162,14 @@ def test_branch_profile_refuses_an_unknown_branch():
 def test_csv_numbers_are_exact_scientific_text():
     values = np.array([-0.0, 5e-324, 1e300])
     profile = intensity.IntensityProfile(np.array([-1.0, 0.0, 1e-7]), values, visibility=values)
-    assert "".join(profile_csv(profile)) == (
+    assert b"".join(profile_csv(profile)).decode("ascii") == (
         "x_m,intensity,visibility_pointwise\n"
         "-1.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
         "0.0000000000000000e+00,4.9406564584124654e-324,4.9406564584124654e-324\n"
         "9.9999999999999995e-08,1.0000000000000001e+300,1.0000000000000001e+300\n"
     )
     profile.visibility = None
-    assert [line.split(",")[2] for line in "".join(profile_csv(profile)).splitlines()[1:]] == ["0.0000000000000000e+00"] * 3
+    assert [line.split(",")[2] for line in b"".join(profile_csv(profile)).decode("ascii").splitlines()[1:]] == ["0.0000000000000000e+00"] * 3
 
 
 def test_sweep_rows_repeat_a_scalar_epsilon(config_path, capsys):
@@ -301,6 +306,21 @@ def test_negative_grid_edges_after_a_space(config_path, capsys):
     assert capsys.readouterr().out == joined
     assert main(["intensity", "--config", config_path, "--grid-min", "-.5E-6", "--grid-max", "1e-6", *edges]) == 0
     assert float(capsys.readouterr().out.splitlines()[1].split(",")[0]) == -0.5e-6
+
+
+def test_negative_grid_edges_with_digit_group_underscores(config_path, capsys):
+    # float reads "-1_0e-7" as -1e-6: one underscore between two digits, in the mantissa or the exponent, is a
+    # value after a space too; "-1__0", which float refuses, is still taken for a flag
+    edges = ["--grid-max", "1e-6", "--grid-points", "5"]
+    assert main(["intensity", "--config", config_path, "--grid-min=-1e-6", *edges]) == 0
+    joined = capsys.readouterr().out
+    for value in ("-1_0e-7", "-0.000_001", "-1e-0_6", "-1_0.0_0e-0_7"):
+        assert main(["intensity", "--config", config_path, "--grid-min", value, *edges]) == 0, value
+        assert capsys.readouterr().out == joined, value
+    with pytest.raises(SystemExit) as stop:
+        main(["intensity", "--config", config_path, "--grid-min", "-1__0", *edges])
+    assert stop.value.code == 2
+    assert "argument --grid-min: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -585,9 +605,9 @@ def test_profile_csv_blocks_match_the_row_wise_text():
     values, vis = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     values[PROFILE_BLOCK - 1 : PROFILE_BLOCK + 1] = -0.0, 5e-324
     blocks = list(profile_csv(intensity.IntensityProfile(grid, values, visibility=vis)))
-    assert [block.count("\n") for block in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 1]
+    assert [bytes(block).count(b"\n") for block in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 1]
     rows = ["%.16e,%.16e,%.16e" % row for row in zip(grid.tolist(), values.tolist(), vis.tolist())]
-    assert "".join(blocks) == "\n".join(["x_m,intensity,visibility_pointwise", *rows]) + "\n"
+    assert b"".join(blocks).decode("ascii") == "\n".join(["x_m,intensity,visibility_pointwise", *rows]) + "\n"
 
 
 def test_one_point_default_grid_is_the_centre(config_path, capsys):
@@ -721,3 +741,65 @@ def test_manifest_path_at_a_directory_leaves_the_earlier_csv(config_path, tmp_pa
     assert "is a directory" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
     assert out.read_text() == "an earlier result\n"
+
+
+@pytest.mark.parametrize("raises", ["second-call", "worker", "caller"])
+def test_a_layout_error_reaches_main_by_name_and_leaves_no_file_or_thread(config_path, tmp_path, capsys, monkeypatch,
+                                                                           raises):
+    # a default grid with eight x < 0 blocks: the odd ones are laid out on a worker thread, whose error is raised
+    # at its block in the thread that writes; an error of either thread stops the worker, joined before main returns
+    class InjectedError(params.ConfigError):
+        pass
+
+    layout, calls, main_calls = cli._layout, itertools.count(1), itertools.count(1)
+
+    def failing(x):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker:
+            time.sleep(0.05)  # so the worker is still busy when the calling thread fails
+        if {"second-call": next(calls) == 2, "worker": worker, "caller": not worker and next(main_calls) == 2}[raises]:
+            raise InjectedError(f"injected layout failure ({raises})")
+        return layout(x)
+
+    monkeypatch.setattr(cli, "_layout", failing)
+    before = threading.active_count()
+    out = tmp_path / "p.csv"
+    argv = ["intensity", "--config", config_path, "--grid-points", str(8 * PROFILE_BLOCK + 1), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: injected layout failure ({raises})" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intensity", "--grid-points", str(4 * PROFILE_BLOCK + 1)],
+        ["sweep", "--parameter", "d", "--range", "90e-9", "360e-9", "--steps", "2000"],
+        ["states", "--measurement", "bell"],
+    ],
+    ids=["intensity", "sweep", "states"],
+)
+def test_stdout_without_a_buffer_gets_the_text_of_out(config_path, tmp_path, argv):
+    # perfbench's worker runs main under redirect_stdout(io.StringIO()), which has no binary buffer
+    out = tmp_path / "run.out"
+    argv = [argv[0], "--config", config_path, *argv[1:]]
+    assert main(argv + ["--out", str(out)]) == 0
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == out.read_bytes().decode("ascii")
+
+
+def test_stdout_gets_the_bytes_of_out_after_its_pending_text(config_path, tmp_path):
+    # a text stream that writes "\r\n" for "\n", as Windows' stdout does: the blocks go to its binary buffer, after
+    # the text it still holds, so stdout carries the bytes --out writes on every platform
+    out = tmp_path / "p.csv"
+    argv = ["intensity", "--config", config_path, "--grid-points", str(2 * PROFILE_BLOCK + 1)]
+    assert main(argv + ["--out", str(out)]) == 0
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\r\n")
+    stream.write("pending\n")
+    with contextlib.redirect_stdout(stream):
+        assert main(argv) == 0
+    stream.flush()
+    assert stream.buffer.getvalue() == b"pending\r\n" + out.read_bytes()

@@ -275,7 +275,7 @@ def test_a_block_the_layout_cannot_settle_is_percent_text_whole(percent, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert csv_block(*columns) == _rowwise(columns)
-    assert percent.calls == columns.size == 12288
+    assert percent.calls == columns.size == 3 * cli.PROFILE_BLOCK
 
 
 @pytest.mark.parametrize("raw", [False, True], ids=["peak", "raw"])

@@ -1,6 +1,7 @@
 """A profile even bit for bit, on a symmetric grid of a slit-exchange invariant density, is evaluated on its
 x >= 0 half and written from the text of its x < 0 half: the same values and bytes as every point alone."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -92,7 +93,7 @@ def percent(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_short_even_profile_is_the_row_wise_text(n, visibility):
     profile = _even_profile(n, n, visibility)
-    assert "".join(profile_csv(profile)) == _rowwise(profile)
+    assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
 
 
 @pytest.mark.parametrize("n", [2 * (2 * PROFILE_BLOCK + 5) + 1, 2 * (2 * PROFILE_BLOCK + 5)], ids=["odd", "even"])
@@ -100,8 +101,8 @@ def test_an_even_profile_of_several_blocks_is_the_row_wise_text(n, percent):
     # x < 0 is three blocks, the last of 5 rows; x > 0 is their mirrors in reverse, after an odd n's centre row
     blocks = list(profile_csv(_even_profile(n, 7)))
     centre = [1] if n % 2 else []
-    assert [b.count("\n") for b in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 5, *centre, 5, PROFILE_BLOCK, PROFILE_BLOCK]
-    assert "".join(blocks) == _rowwise(_even_profile(n, 7))
+    assert [bytes(b).count(b"\n") for b in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, 5, *centre, 5, PROFILE_BLOCK, PROFILE_BLOCK]
+    assert b"".join(blocks).decode("ascii") == _rowwise(_even_profile(n, 7))
     assert percent.calls == 0
 
 
@@ -110,7 +111,7 @@ def test_a_tie_sends_a_block_and_its_mirror_to_percent(percent):
     n = profile.grid.size
     j = PROFILE_BLOCK + 17  # in the second block of x < 0
     profile.values[[j, n - 1 - j]] = 1000000000000000.25  # 18 significant digits, the last a 5: an exact tie
-    assert "".join(profile_csv(profile)) == _rowwise(profile)
+    assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
     assert percent.calls == 2 * PROFILE_BLOCK * 3  # that block and its mirror, whole
 
 
@@ -121,7 +122,7 @@ def test_a_three_digit_exponent_compacts_a_block_and_its_mirror(monkeypatch, per
     profile = _even_profile(2 * (2 * PROFILE_BLOCK + 5) + 1, 9)
     n = profile.grid.size
     profile.values[[3, n - 4]] = 1.5e-120  # two- and three-digit exponents in the first block's intensity column
-    assert "".join(profile_csv(profile)) == _rowwise(profile)
+    assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
     assert compacted == [True, False, False, False, False, False, True]
     assert percent.calls == 0
 
@@ -130,12 +131,47 @@ def test_an_uneven_profile_keeps_its_blocks():
     profile = _even_profile(2 * (2 * PROFILE_BLOCK + 5) + 1, 10)
     profile.values[-1] = np.nextafter(profile.values[-1], 2.0)
     blocks = list(profile_csv(profile))
-    assert [b.count("\n") for b in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, PROFILE_BLOCK, PROFILE_BLOCK, 11]
-    assert "".join(blocks) == _rowwise(profile)
+    assert [bytes(b).count(b"\n") for b in blocks] == [1, PROFILE_BLOCK, PROFILE_BLOCK, PROFILE_BLOCK, PROFILE_BLOCK, 11]
+    assert b"".join(blocks).decode("ascii") == _rowwise(profile)
 
 
 def test_an_even_profile_with_a_signed_zero_is_not_mirrored():
     # -0.0 == 0.0, but its text has a sign: the halves are compared bit for bit
     profile = _even_profile(2 * PROFILE_BLOCK + 1, 11)
     profile.values[[5, -6]] = -0.0, 0.0
-    assert "".join(profile_csv(profile)) == _rowwise(profile)
+    assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
+
+
+@pytest.mark.parametrize("tie, compact", [(0, 1), (1, 0)], ids=["tie-caller", "tie-worker"])
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+@pytest.mark.parametrize("blocks", [2, 3, 5])
+def test_an_even_profile_laid_out_on_two_threads_is_the_row_wise_text(monkeypatch, percent, blocks, parity, tie,
+                                                                       compact):
+    # x < 0 is `blocks` blocks, the last of 7 rows: the even ones are laid out on the calling thread, the odd ones
+    # on a worker. A tie sends one block and its mirror to %, a three-digit exponent compacts another and its
+    # mirror; each is on the worker's side once and on the caller's once
+    m = (blocks - 1) * PROFILE_BLOCK + 7
+    profile = _even_profile(2 * m + parity, 30 + blocks)
+    n = profile.grid.size
+    for block, value in ((tie, 1000000000000000.25), (compact, 1.5e-120)):
+        j = block * PROFILE_BLOCK + 3
+        profile.values[[j, n - 1 - j]] = value
+    on_main, compacted = {}, []  # per x < 0 block: whether each layout of it ran on the main thread
+    layout, text = cli._layout, cli._text
+
+    def recorded(x):
+        if x[0, 0] < 0:
+            block = int(np.flatnonzero(profile.grid == x[0, 0])[0]) // PROFILE_BLOCK
+            on_main.setdefault(block, set()).add(threading.current_thread() is threading.main_thread())
+        return layout(x)
+
+    monkeypatch.setattr(cli, "_layout", recorded)
+    monkeypatch.setattr(cli, "_text", lambda buf, compact: compacted.append(compact) or text(buf, compact))
+    before = threading.active_count()
+    assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
+    assert threading.active_count() == before
+    # the tie's block is laid out once more by the calling thread, which writes it with %
+    assert on_main == {k: {k % 2 == 0} | ({True} if k == tie else set()) for k in range(blocks)}
+    laid = [k == compact for k in range(blocks) if k != tie]
+    assert compacted == laid + [False] * parity + laid[::-1]
+    assert percent.calls == 2 * 3 * (PROFILE_BLOCK if tie < blocks - 1 else 7)

@@ -55,7 +55,7 @@ def test_sweep_mu_column_is_continuous_across_the_old_wrap_line():
     )
     code, text, _, _ = cmd_sweep(args, RUBIDIUM)
     assert code == 0
-    mu = np.array([float(line.rsplit(",", 1)[1]) for line in "".join(text).splitlines()[1:]])
+    mu = np.array([float(line.rsplit(",", 1)[1]) for line in b"".join(text).decode("ascii").splitlines()[1:]])
     assert mu.size == 2000
     assert np.max(np.abs(np.diff(mu))) < 0.05
 

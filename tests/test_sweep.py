@@ -26,7 +26,7 @@ def _sweep_rows(config, parameter, lo, hi, steps):
     )
     code, text, _, _ = cmd_sweep(args, config)
     assert code == 0
-    return np.array([[float(v) for v in line.split(",")] for line in "".join(text).splitlines()[1:]])
+    return np.array([[float(v) for v in line.split(",")] for line in b"".join(text).decode("ascii").splitlines()[1:]])
 
 
 def _one_configuration(config, parameter, value):
