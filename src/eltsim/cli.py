@@ -6,8 +6,9 @@ and its manifest fields. Every command runs every check before its first
 byte: the checks run before the command returns, and the blocks are then
 made as they are read. ``intensity`` yields its CSV ``PROFILE_BLOCK`` rows
 at a time, ``sweep`` ``SWEEP_BLOCK`` rows at a time, ``verify`` and
-``states`` their whole report as one block; ``csv_block`` formats every CSV
-row. Blocks stay bytes from layout to file: a laid-out CSV block is its numpy
+``states`` their whole report as one block. The commands write a CSV block as
+``_block``'s bytes; ``csv_block`` is their ``str`` form, for library callers.
+Blocks stay bytes from layout to file: a laid-out CSV block is its numpy
 byte buffer itself, and ``verify`` and ``states`` encode their report once.
 ``main`` writes the blocks as they arrive to stdout's binary buffer, so stdout
 carries the bytes ``--out`` writes on every platform (a stream without a
@@ -40,7 +41,7 @@ and float's digit-group underscores and all: ``--grid-min -1e-6`` is
 ``--grid-min=-1e-6``.
 CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
-``csv_block`` makes each block's text in numpy, byte for byte the text of
+``_block`` makes each block's bytes in numpy, byte for byte the text of
 ``"%.16e" % x``, from a double-double scaling in float64 alone that is the
 same on every platform. A block that holds nan, inf or a number whose
 fraction lies within ``_TIE_BOUND`` (5e-15) of 1/2 (in practice an exact tie
@@ -51,12 +52,13 @@ of both signs or of two- and three-digit exponents) is compacted after.
 ``profile_csv`` writes a profile that is even bit for bit, as every
 default-grid profile is (``intensity`` module docstring), from its x < 0
 half: each x > 0 block is the byte buffer of its mirror block, rows
-reversed and x's sign byte dropped, compacted where that block was. It holds
-those buffers, about 35 bytes per grid point, until the second half is
-written. Where its x < 0 half has two blocks or more, they are laid out
-alternately on the calling thread and on one worker thread (``_in_order``),
-in order, so two blocks' temporaries are in flight at once; a worker's
-exception is raised in the calling thread. No block of such a profile
+reversed and x's sign byte dropped, compacted where that block was. The x < 0
+layouts are one list with a slot per block: the calling thread fills the even
+slots and, where there are two blocks or more, one worker thread the odd ones,
+so two blocks' temporaries are in flight at once. The x < 0 half is written
+from that list in order, a worker's exception raised at its block, and the
+x > 0 half from the list reversed; it holds the buffers, about 35 bytes per
+grid point, until then. No block of such a profile
 crosses x = 0; a custom grid through 0 is written block by block, and its
 block where x crosses 0 is compacted.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
@@ -86,6 +88,7 @@ import os
 import platform
 import re
 import sys
+import threading
 
 import numpy as np
 
@@ -119,7 +122,7 @@ PROFILE_BLOCK = 6144  # intensity CSV rows per block: 0.43 MB of bytes at a 1.55
 # profile's own evaluation peaks lower, 7.2 MB for full and 5.0 MB for elt at 200001 points, so the writer sets the
 # peak of a dense intensity command
 
-# ``csv_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
+# ``_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
 # nearest y. y is made in float64 alone, as a double-double. Per decade E a table holds the shift
 # s_E = -floor(E log2 10) and P_E = 10**(16 - E) * 2**-s_E in (5e15, 1e16] as hi + lo, both correctly
@@ -329,48 +332,6 @@ def csv_block(*columns) -> str:
     return str(_block(*columns), "ascii")
 
 
-def _in_order(lay, items):
-    """Every item and ``lay(item)``, in order. Where there are two items or more, one worker thread lays out
-    the odd ones while this thread lays out the even ones; an exception of the worker's is raised here, at its
-    item. Closing the generator stops the worker after its current item and joins it."""
-    if len(items) < 2:
-        yield from ((item, lay(item)) for item in items)
-        return
-    import threading  # numpy has imported it already
-
-    done = {}  # odd index: (result, exception)
-    ready = threading.Semaphore(0)
-    stop = threading.Event()
-
-    def work():
-        for k in range(1, len(items), 2):
-            if stop.is_set():
-                return
-            try:
-                done[k] = lay(items[k]), None
-            except BaseException as exc:  # handed to the caller, which raises it
-                done[k] = None, exc
-                return
-            finally:
-                ready.release()
-
-    worker = threading.Thread(target=work, name="eltsim-layout")
-    worker.start()
-    try:
-        for k, item in enumerate(items):
-            if k % 2 == 0:
-                yield item, lay(item)
-                continue
-            ready.acquire()
-            result, exc = done.pop(k)
-            if exc is not None:
-                raise exc
-            yield item, result
-    finally:
-        stop.set()
-        worker.join()
-
-
 def _warn(config: PhysicsConfig) -> DerivedQuantities:
     """Print the regime warnings of a configuration, or of all the values of a swept one, and return
     ``derive(config)``, which range-checks every value first."""
@@ -463,11 +424,11 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.
 
 def profile_csv(profile: intensity.IntensityProfile):
     """The profile's CSV bytes: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
-    is laid out from its first m = n//2 rows, x < 0, a block at a time, two blocks at once on two threads
-    (``_in_order``); rows m ... n - m, the centre row of an odd n, follow as they are, and the rows x > 0 are
-    the first blocks' buffers in reverse order without x's sign byte. Those buffers are held until the second
-    half is written, about 35 bytes per point. An uneven profile is that layout with m = 0: every row as it
-    is."""
+    is laid out from its first m = n//2 rows, x < 0, a block at a time into one list, ``laid``: this thread
+    lays out the even blocks and, where there are two blocks or more, one worker thread the odd ones. Rows
+    m ... n - m, the centre row of an odd n, follow as they are, and the rows x > 0 are ``laid``'s buffers in
+    reverse order without x's sign byte, held until then, about 35 bytes per point. An uneven profile is that
+    layout with m = 0: every row as it is."""
     vis = 0.0 if profile.visibility is None else profile.visibility
     grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
     yield b"x_m,intensity,visibility_pointwise\n"
@@ -475,23 +436,50 @@ def profile_csv(profile: intensity.IntensityProfile):
     if not (np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
             np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))):
         m = 0
-    def lay(rows):
-        return _layout(np.stack([grid[rows], values[rows], vis[rows]]))
-
-    held = []  # per block of x < 0: its rows, and its buffer, or None for Python's % text
     blocks = [slice(start, min(start + PROFILE_BLOCK, m)) for start in range(0, m, PROFILE_BLOCK)]
-    for rows, laid in _in_order(lay, blocks):
-        held.append((rows, laid))
-        yield _block(grid[rows], values[rows], vis[rows]) if laid is None else _text(*laid)
+    laid = [None] * len(blocks)  # per block of x < 0: its buffer, None for Python's % text, or the worker's error
+    ready, stop = threading.Semaphore(0), threading.Event()  # released per worker block; set as this generator ends
+
+    def lay(k):
+        laid[k] = _layout(np.stack([grid[blocks[k]], values[blocks[k]], vis[blocks[k]]]))
+
+    def work():
+        for k in range(1, len(blocks), 2):
+            if stop.is_set():
+                return
+            try:
+                lay(k)
+            except BaseException as exc:  # raised by this generator at block k
+                laid[k] = exc
+                return
+            finally:
+                ready.release()
+
+    worker = threading.Thread(target=work, name="eltsim-layout") if len(blocks) > 1 else None
+    if worker:
+        worker.start()
+    try:
+        for k, rows in enumerate(blocks):
+            if k % 2 == 0:
+                lay(k)
+            else:
+                ready.acquire()
+                if isinstance(laid[k], BaseException):
+                    raise laid[k]
+            yield _block(grid[rows], values[rows], vis[rows]) if laid[k] is None else _text(*laid[k])
+    finally:  # a closed generator or an error stops the worker after its current block
+        stop.set()
+        if worker:
+            worker.join()
     for start in range(m, n - m, PROFILE_BLOCK):
         rows = slice(start, min(start + PROFILE_BLOCK, n - m))
         yield _block(grid[rows], values[rows], vis[rows])
-    for rows, laid in reversed(held):  # x > 0: every number as at -x, less x's sign, the first byte of a row
-        if laid is None:
+    for rows, block in zip(blocks[::-1], laid[::-1]):  # x > 0: every number as at -x, less x's sign, a row's first byte
+        if block is None:
             mirror = slice(n - rows.stop, n - rows.start)
             yield _block(grid[mirror], values[mirror], vis[mirror])
         else:
-            buf, compact = laid
+            buf, compact = block
             yield _text(buf[::-1, 1:], compact)
 
 

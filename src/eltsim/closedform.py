@@ -73,7 +73,7 @@ class EltCoefficients:
     form or read off the chain (``intensity.loop_coefficients``); arrays for
     an array-valued configuration."""
 
-    amplitude: float  # A, m^(-1/2)
+    amplitude: float  # A, m^(1/2): psi12 carries one more unit of length than psi1
     c1: float  # envelope curvature, 1/m^2
     c2: float  # envelope shift, 1/m (odd in d)
     c3: float  # envelope offset, dimensionless

@@ -76,6 +76,27 @@ def test_cli_exits_2_and_writes_nothing_on_infinite_amplitude(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # an editor may save UTF-8 with a leading BOM; it is not part of the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(_MINIMAL, encoding="utf-8")
+    marked.write_text(_MINIMAL, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["states", "--config", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["states", "--config", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(("# widths in \xb5m\n" + _MINIMAL).encode("latin-1"))
+    assert main(["states", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xb5")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["intensity", "--branch", "elt"], ["intensity", "--branch", "full"], ["sweep", "--parameter", "d", "--range", "1e-7", "2e-7"]],

@@ -2,6 +2,7 @@
 x >= 0 half and written from the text of its x < 0 half: the same values and bytes as every point alone."""
 
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -175,3 +176,24 @@ def test_an_even_profile_laid_out_on_two_threads_is_the_row_wise_text(monkeypatc
     laid = [k == compact for k in range(blocks) if k != tie]
     assert compacted == laid + [False] * parity + laid[::-1]
     assert percent.calls == 2 * 3 * (PROFILE_BLOCK if tie < blocks - 1 else 7)
+
+
+def test_closing_an_even_profile_early_stops_the_worker_after_its_current_block(monkeypatch):
+    # x < 0 is eight blocks, four of them the worker's; each worker layout sleeps, so the worker is still busy when
+    # the generator is closed after its first block, and lays out no block after the one it is in
+    layout, on_worker = cli._layout, []
+
+    def slow(x):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+            on_worker.append(x[0, 0])
+        return layout(x)
+
+    monkeypatch.setattr(cli, "_layout", slow)
+    before = threading.active_count()
+    blocks = profile_csv(_even_profile(2 * 8 * PROFILE_BLOCK, 40))
+    assert bytes(next(blocks)) == b"x_m,intensity,visibility_pointwise\n"
+    assert bytes(next(blocks)).count(b"\n") == PROFILE_BLOCK
+    blocks.close()
+    assert threading.active_count() == before
+    assert 1 <= len(on_worker) < 4
