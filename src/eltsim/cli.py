@@ -1,8 +1,8 @@
 """Command-line surface: intensity profiles, verification, state reports, sweeps.
 
 Each ``cmd_*`` returns its exit code, its output as an iterable of blocks of
-bytes, the closed-form solution of its configuration (``closedform.solve``)
-and its manifest fields. Every command runs every check before its first
+bytes, and two dicts of manifest fields: the record its output was computed
+from, and its options. Every command runs every check before its first
 byte: the checks run before the command returns, and the blocks are then
 made as they are read. ``intensity`` yields its CSV ``PROFILE_BLOCK`` rows
 at a time, ``sweep`` ``SWEEP_BLOCK`` rows at a time, ``verify`` and
@@ -13,14 +13,15 @@ byte buffer itself, and ``verify`` and ``states`` encode their report once.
 ``main`` writes the blocks as they arrive to stdout's binary buffer, so stdout
 carries the bytes ``--out`` writes on every platform (a stream without a
 buffer, such as ``io.StringIO``, gets them decoded), or with ``--out``
-to ``<out>.tmp``, then the reproducibility record from that solution to
+to ``<out>.tmp``, then the manifest (``write_manifest``) to
 ``<out>.manifest.json.tmp``, and moves both into place only when both are
 complete, after refusing a target that is a directory: a failing command
 leaves no new file (a file already at a staging name is overwritten, then
-removed). ``verify`` solves once,
-every other command only with ``--out``; its report renders its own verdict
-and worst-offender line, and only ``verify`` imports the verification layers
-and the quadrature oracle. ``intensity`` and ``sweep`` read
+removed). No command computes anything for ``--out`` alone, so its exit code
+and stderr are the same with it and without it. Only ``verify`` imports the
+closed form (``closedform.solve``, once), the verification layers and the
+quadrature oracle; its report renders its own verdict and worst-offender
+line. ``intensity`` and ``sweep`` read
 the propagator chain, so they accept a nonzero ``eta``. ``sweep`` range-checks
 every swept value, then reads them off one array chain per ``SWEEP_CHAIN``
 rows and builds no profile: ``intensity.aggregate_visibility`` scores
@@ -32,8 +33,9 @@ with ``--out``; the first failing chain block names its error. Chain, chunk
 and block sizes only spread the fixed cost of a block's numpy calls: no row
 and no byte of the output depends on them.
 
-Exit codes: 0 success, 2 configuration error (including bad flags), 3
-verification failure, 4 I/O error. The parser owns the choices: an unknown
+Exit codes: 0 success, 2 configuration error (including bad flags, and a
+grid, sweep or verification size numpy cannot allocate), 3 verification
+failure, 4 I/O error. The parser owns the choices: an unknown
 branch, measurement or sweep parameter is argparse's exit 2 with its usage
 text, and ``--config`` and ``--out`` are declared once, for every
 subcommand. A flag's negative value may follow it after a space, exponent
@@ -92,7 +94,7 @@ import threading
 
 import numpy as np
 
-from . import __version__, closedform, intensity, marking
+from . import __version__, intensity, marking
 from .params import (ConfigError, DerivedQuantities, PhysicsConfig, config_as_dict, derive, load_config, swept_rows,
                      validate_regime)
 
@@ -341,11 +343,6 @@ def _warn(config: PhysicsConfig) -> DerivedQuantities:
     return derived
 
 
-def _reference(args, config: PhysicsConfig):
-    """The closed-form solution a manifest records; solved only when ``--out`` asks for one."""
-    return closedform.solve(config) if args.out is not None else None
-
-
 def _grid(args, coeffs) -> np.ndarray:
     points = args.grid_points
     if points < 1:
@@ -362,10 +359,6 @@ def _grid(args, coeffs) -> np.ndarray:
     return intensity.default_grid(coeffs, points=points)
 
 
-def _complex_pair(z: complex):
-    return {"re": z.real, "im": z.imag}
-
-
 def _timestamp() -> str:
     """The time a manifest records, in UTC: now, or the time that ``SOURCE_DATE_EPOCH`` names
     (https://reproducible-builds.org/specs/source-date-epoch/), so that two runs can write the same bytes."""
@@ -380,36 +373,32 @@ def _timestamp() -> str:
         raise ConfigError(f"SOURCE_DATE_EPOCH {epoch} is out of range") from exc
 
 
-def write_manifest(path, solution: closedform.Solution, command: str, extra: dict):
-    """Reproducibility record of a data file, read off one solution and written
-    to ``path``: config echo, derived quantities, the full coefficient table,
-    tool version, timestamp, and the Python and numpy versions that wrote it."""
-    derived = solution.derived
+def _derived(derived: DerivedQuantities) -> dict:
+    """The derived quantities a manifest records."""
+    return {"delta_p_kg_m_s": derived.delta_p, "delta_v_m_s": derived.delta_v, "epsilon_s": derived.epsilon}
+
+
+def write_manifest(path, config: PhysicsConfig, command: str, fields: dict):
+    """Reproducibility record of a data file, written to ``path``: tool version, command, timestamp, the Python
+    and numpy versions that wrote it, the config echo, and the command's own ``fields``. ``intensity`` records
+    ``derived`` and the loop-12 chain's ``coefficients`` that its profile read; ``states`` ``derived``; ``sweep``
+    only its options, as its rows carry epsilon, gamma and mu per swept value; ``verify`` ``derived`` and the
+    closed form's ``ztable`` and ``coefficients`` that it checked."""
     manifest = {
         "tool": "eltsim",
         "version": __version__,
         "command": command,
         "timestamp": _timestamp(),
         "environment": {"python": platform.python_version(), "numpy": np.__version__},
-        "config": config_as_dict(solution.config),
-        "derived": {
-            "delta_p_kg_m_s": derived.delta_p,
-            "delta_v_m_s": derived.delta_v,
-            "epsilon_s": derived.epsilon,
-        },
-        "ztable": {
-            name: _complex_pair(value) if isinstance(value, complex) else value
-            for name, value in dataclasses.asdict(solution.ztable).items()
-        },
-        "coefficients": dataclasses.asdict(solution.coeffs),
+        "config": config_as_dict(config),
+        **fields,
     }
-    manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: closedform.EltCoefficients, normalization: str):
+def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: intensity.EltCoefficients, normalization: str):
     """Screen profile for one named branch; ``coeffs`` are the loop chain's. ``elt`` is both loops with unit
     weights; ``ground`` is the post-slit state's level g, and erasing its cavity marks gives the two patterns."""
     if branch not in BRANCHES:
@@ -484,18 +473,17 @@ def profile_csv(profile: intensity.IntensityProfile):
 
 
 def cmd_intensity(args, config: PhysicsConfig):
-    _warn(config)
-    solution = _reference(args, config)
+    derived = _warn(config)
     coeffs = intensity.loop_coefficients(config)
     grid = _grid(args, coeffs)
     normalization = "raw" if args.raw else "peak"
     profile = branch_profile(args.branch, grid, config, coeffs, normalization)
-    extra = {"branch": args.branch, "normalization": normalization}
-    return EXIT_OK, profile_csv(profile), solution, extra
+    record = {"derived": _derived(derived), "coefficients": dataclasses.asdict(coeffs)}
+    return EXIT_OK, profile_csv(profile), record, {"branch": args.branch, "normalization": normalization}
 
 
 def cmd_verify(args, config: PhysicsConfig):
-    from . import verification  # only verify loads it and the quadrature oracle
+    from . import closedform, verification  # only verify loads them and the quadrature oracle
 
     if args.points < 1:
         raise ConfigError(f"--points needs at least one point, got {args.points}")
@@ -508,9 +496,15 @@ def cmd_verify(args, config: PhysicsConfig):
         corrupt=args.corrupt_z,
     )
     code = EXIT_OK if report.passed else EXIT_VERIFY
-    extra = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL, "quadrature": not args.skip_quadrature,
-             "corrupt_z": args.corrupt_z, "passed": report.passed}
-    return code, [(report.render() + "\n").encode()], solution, extra
+    record = {
+        "derived": _derived(solution.derived),
+        "ztable": {name: {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
+                   for name, value in dataclasses.asdict(solution.ztable).items()},
+        "coefficients": dataclasses.asdict(solution.coeffs),
+    }
+    options = {"points": args.points, "tolerance": verification.DEFAULT_CHAIN_TOL,
+               "quadrature": not args.skip_quadrature, "corrupt_z": args.corrupt_z, "passed": report.passed}
+    return code, [(report.render() + "\n").encode()], record, options
 
 
 def _prob(p: float) -> str:
@@ -528,8 +522,7 @@ def _state_table(state: marking.CompositeState) -> list[str]:
 
 
 def cmd_states(args, config: PhysicsConfig):
-    _warn(config)
-    solution = _reference(args, config)
+    derived = _warn(config)
     state = marking.post_slit_state(config)
     lines = ["post-slit composite state:"]
     lines += _state_table(state)
@@ -551,7 +544,8 @@ def cmd_states(args, config: PhysicsConfig):
     lines.append("reduced center-of-mass weight matrix (paths " + ", ".join(paths) + "):")
     for row in mat:
         lines.append("  " + "  ".join(f"{w.real:+.12e}{w.imag:+.12e}j" for w in row))
-    return EXIT_OK, [("\n".join(lines) + "\n").encode()], solution, {"measurement": args.measurement}
+    report = [("\n".join(lines) + "\n").encode()]
+    return EXIT_OK, report, {"derived": _derived(derived)}, {"measurement": args.measurement}
 
 
 def cmd_sweep(args, config: PhysicsConfig):
@@ -586,8 +580,7 @@ def cmd_sweep(args, config: PhysicsConfig):
             rows = slice(start, start + SWEEP_BLOCK)
             yield _block(values[rows], epsilon[rows], gamma[rows], spacing[rows], agg[rows], mu[rows])
 
-    extra = {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
-    return EXIT_OK, blocks(), _reference(args, config), extra
+    return EXIT_OK, blocks(), {}, {"parameter": args.parameter, "range": [lo, hi], "steps": args.steps}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -640,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_files(out, blocks, solution: closedform.Solution, command: str, extra: dict):
+def _write_files(out, blocks, config: PhysicsConfig, command: str, fields: dict):
     """Write the blocks to ``<out>.tmp`` and the manifest to ``<out>.manifest.json.tmp``,
     then move both into place; on any error remove both, so nothing new is left.
     A target that is a directory is refused first: the second move would fail
@@ -653,7 +646,7 @@ def _write_files(out, blocks, solution: closedform.Solution, command: str, extra
     try:
         with open(staged[0], "wb") as fh:
             fh.writelines(blocks)
-        write_manifest(staged[1], solution, command, extra)
+        write_manifest(staged[1], config, command, fields)
         os.replace(staged[0], out)
         os.replace(staged[1], manifest)
     except BaseException:
@@ -680,13 +673,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        code, blocks, solution, extra = args.func(args, config)
+        code, blocks, record, options = args.func(args, config)
         if args.out is None:
             _write_stdout(blocks)
         else:
-            _write_files(args.out, blocks, solution, args.command, extra)
+            _write_files(args.out, blocks, config, args.command, {**record, **options})
         return code
-    except ValueError as exc:  # ConfigError and every other named error subclass it
+    # ConfigError and every other named error subclass ValueError; numpy raises MemoryError, naming the size, for an
+    # array it cannot allocate, such as a grid of --grid-points 1e15
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

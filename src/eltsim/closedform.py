@@ -22,11 +22,13 @@ into its derived kinematics, z-table and coefficients, each loop segment at
 batch of configurations (``params.batch``), and its guards name the first
 row that trips them by every field of the batch.
 
-Nothing on the hot path reads the closed form: every profile and sweep row
+Only ``eltsim verify`` reads the closed form: every profile and sweep row
 comes from the propagator chain of :mod:`eltsim.gaussians`. The closed form
 is the reference that verification checks the chain's record against, both
-evaluated by ``psi12``/``psi21`` (the chain is exactly ``CHAIN_SIGN`` times
-psi12, at every eta), and the coefficient record of every manifest.
+evaluated by ``psi12``/``psi21`` (the chain is exactly
+``intensity.CHAIN_SIGN`` times psi12, at every eta), and a ``verify``
+manifest records its z-table and coefficients. ``build_coefficients``
+fills the chain's record type, ``intensity.EltCoefficients``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intensity import CHAIN_SIGN, EltCoefficients  # noqa: F401 (CHAIN_SIGN: the chain's sign against psi12)
 from .params import DerivedQuantities, PhysicsConfig, check, derive
-
-# chain evaluation = CHAIN_SIGN * closed form, a global phase (mu is on the chain's branch)
-CHAIN_SIGN = -1.0
 
 
 class DegenerateConfigError(ValueError):
@@ -65,22 +65,6 @@ class ZTable:
     z10: complex
     gouy_zr: float
     gouy_zi: float
-
-
-@dataclass(frozen=True)
-class EltCoefficients:
-    """Coefficient bundle of the looped-path wavefunction psi12, from the closed
-    form or read off the chain (``intensity.loop_coefficients``); arrays for
-    an array-valued configuration."""
-
-    amplitude: float  # A, m^(1/2): psi12 carries one more unit of length than psi1
-    c1: float  # envelope curvature, 1/m^2
-    c2: float  # envelope shift, 1/m (odd in d)
-    c3: float  # envelope offset, dimensionless
-    alpha: float  # quadratic phase, 1/m^2
-    gamma: float  # linear phase, 1/m (odd in d)
-    theta: float  # displacement axial phase, rad
-    mu: float  # Gouy phase, rad
 
 
 def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, gaussians, marking
+from . import gaussians, marking
 from .params import PhysicsConfig, check
 
 NORMALIZATIONS = ("raw", "peak")
@@ -58,10 +58,27 @@ _LATTICE_K = np.arange(CENTRAL_FRINGES * 80.0 + 1.0)
 _LATTICE_COS = np.cos(np.pi / 40.0 * _LATTICE_K)
 BLOCKS = (("1", "2"), ("12", "21"))  # each block's path at x and its mirror at -x: straight, then looped
 LOOPS_ONLY = marking.CenterOfMassDensity({(p, q): 1.0 for p in BLOCKS[1] for q in BLOCKS[1]})  # elt
+# the loop-12 chain = CHAIN_SIGN * psi12 of its coefficients, a global phase (mu is on the chain's branch)
+CHAIN_SIGN = -1.0
 
 
 class ProfileError(ValueError):
     """Empty grid, unknown normalization, or an undefined observable."""
+
+
+@dataclass(frozen=True)
+class EltCoefficients:
+    """Coefficient bundle of the looped-path wavefunction psi12, read off the chain (``loop_coefficients``)
+    or built by the closed form (``closedform.build_coefficients``); arrays for an array-valued configuration."""
+
+    amplitude: float  # A, m^(1/2): psi12 carries one more unit of length than psi1
+    c1: float  # envelope curvature, 1/m^2
+    c2: float  # envelope shift, 1/m (odd in d)
+    c3: float  # envelope offset, dimensionless
+    alpha: float  # quadratic phase, 1/m^2
+    gamma: float  # linear phase, 1/m (odd in d)
+    theta: float  # displacement axial phase, rad
+    mu: float  # Gouy phase, rad
 
 
 @dataclass
@@ -232,16 +249,16 @@ def _profile(grid, blocks, normalization, label) -> IntensityProfile:
     return IntensityProfile(grid, values, vis)
 
 
-def elt_intensity(grid, coeffs: closedform.EltCoefficients, normalization: str = "peak") -> IntensityProfile:
+def elt_intensity(grid, coeffs: EltCoefficients, normalization: str = "peak") -> IntensityProfile:
     """Looped-paths-only pattern |ψ12 + ψ21|^2 of ψ12's coefficients, from the closed form or the chain."""
     return branch_intensity(LOOPS_ONLY, grid, None, normalization, coeffs, "elt")
 
 
-def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
+def loop_coefficients(config: PhysicsConfig) -> EltCoefficients:
     """ψ12's coefficients off the loop-12 chain (= CHAIN_SIGN ψ12), one per configuration;
     mu lands on the closed form's branch, (-3pi/4, 5pi/4), because every Re z_k > 0."""
     form = gaussians.chain((config.d / 2.0, -config.d / 2.0, config.d / 2.0), config)
-    return closedform.EltCoefficients(
+    return EltCoefficients(
         amplitude=np.abs(form.prefactor),
         c1=form.a.real,
         c2=form.b.real,
@@ -249,12 +266,12 @@ def loop_coefficients(config: PhysicsConfig) -> closedform.EltCoefficients:
         alpha=-form.a.imag,
         gamma=form.b.imag,
         theta=form.c.imag,
-        mu=np.pi / 4.0 + np.angle(closedform.CHAIN_SIGN * form.prefactor * np.exp(-0.25j * np.pi)),
+        mu=np.pi / 4.0 + np.angle(CHAIN_SIGN * form.prefactor * np.exp(-0.25j * np.pi)),
     )
 
 
 def branch_intensity(branch, grid, config: PhysicsConfig, normalization: str = "peak",
-                     coeffs: closedform.EltCoefficients | None = None, label: str | None = None) -> IntensityProfile:
+                     coeffs: EltCoefficients | None = None, label: str | None = None) -> IntensityProfile:
     """Screen profile of a CompositeState, a MeasurementBranch (collapsed here) or a CenterOfMassDensity.
     ``config`` builds the path-1 chain for a straight block, and the loop-12 chain for a looped block
     whose coefficients ``coeffs`` (ψ12's, ``loop_coefficients``) are not given."""
@@ -273,7 +290,7 @@ def branch_intensity(branch, grid, config: PhysicsConfig, normalization: str = "
     return _profile(grid, blocks, normalization, label or "density")
 
 
-def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.ndarray:
+def default_grid(coeffs: EltCoefficients, points: int = 2001) -> np.ndarray:
     """Grid spanning +/- 5 fringe spacings pi/|gamma|, symmetric bit for bit: an odd grid's centre is 0."""
     if coeffs.gamma == 0:
         raise ProfileError("gamma vanishes; no fringe scale to derive the grid from")
@@ -287,7 +304,7 @@ def default_grid(coeffs: closedform.EltCoefficients, points: int = 2001) -> np.n
     return 0.5 * (grid - grid[::-1])  # linspace's -half + k step is not -(half - k step) in floats; one point is 0
 
 
-def fringe_spacing(coeffs: closedform.EltCoefficients):
+def fringe_spacing(coeffs: EltCoefficients):
     """Distance between adjacent looped-path maxima near the center; inf where it leaves the float
     range. A sweep takes it after ``aggregate_visibility``, which names such a row by its swept value."""
     if np.any(coeffs.gamma == 0):
@@ -296,7 +313,7 @@ def fringe_spacing(coeffs: closedform.EltCoefficients):
         return np.pi / np.abs(coeffs.gamma)
 
 
-def aggregate_visibility(coeffs: closedform.EltCoefficients, config: PhysicsConfig):
+def aggregate_visibility(coeffs: EltCoefficients, config: PhysicsConfig):
     """(Imax - Imin)/(Imax + Imin) of the looped-path profile over the central
     three fringes, per configuration of ``coeffs`` (a float for one, an array
     for a block of them). ``config`` holds the configurations the coefficients

@@ -144,7 +144,7 @@ def _worst_point(name: str, grid, reference, value, tolerance: float) -> CheckRe
 
 
 def closed_vs_chain(solution: closedform.Solution, points: int = 101,
-                    looped: closedform.EltCoefficients | None = None) -> VerificationReport:
+                    looped: intensity.EltCoefficients | None = None) -> VerificationReport:
     """Closed-form psi12/psi21 against those of the loop-12 chain's record, ``intensity.loop_coefficients``,
     both from one evaluator: a deviation is the records' difference, never two evaluators' rounding.
     ``looped`` is that record, read off the chain here when not given.
@@ -161,7 +161,7 @@ def closed_vs_chain(solution: closedform.Solution, points: int = 101,
 
 
 def chain_vs_quadrature(solution: closedform.Solution,
-                        looped: closedform.EltCoefficients | None = None) -> VerificationReport:
+                        looped: intensity.EltCoefficients | None = None) -> VerificationReport:
     """The loop-12 chain's record against direct 2-D quadrature of the loop integral; a quadrature
     that does not converge fails the record with an infinite deviation. ``looped`` is that record,
     ``intensity.loop_coefficients``, read off the chain here when not given. A fringe spacing
@@ -174,7 +174,7 @@ def chain_vs_quadrature(solution: closedform.Solution,
     grid = np.linspace(-1.7, 1.7, 5) * spacing
 
     looped = intensity.loop_coefficients(solution.config) if looped is None else looped
-    chain = closedform.CHAIN_SIGN * closedform.psi12(grid, looped)
+    chain = intensity.CHAIN_SIGN * closedform.psi12(grid, looped)
     try:
         quad_vals = oracle.looped_path_value(solution.config, grid)
     except oracle.QuadratureError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -73,7 +74,9 @@ def test_manifest_written(config_path, tmp_path):
     assert manifest["command"] == "intensity"
     assert manifest["config"]["d"] == 180e-9
     assert manifest["derived"]["epsilon_s"] == pytest.approx(3.5e-6, rel=0.03)
-    assert "z5" in manifest["ztable"]
+    # the loop-12 chain's record that the profile read, bit for bit; the closed form is verify's alone
+    assert "ztable" not in manifest
+    assert manifest["coefficients"] == dataclasses.asdict(intensity.loop_coefficients(params.load_config(config_path)))
     assert manifest["coefficients"]["c1"] > 0
     assert "version" in manifest and "timestamp" in manifest
 
@@ -550,6 +553,27 @@ def test_sweep_steps_below_one_are_named(config_path, tmp_path, capsys, steps, o
     assert main([*argv, *target]) == 2
     captured = capsys.readouterr()
     assert f"--steps must be at least 1, got {steps}" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["intensity", "--grid-points"],
+        ["intensity", "--grid-min", "-1e-6", "--grid-max", "1e-6", "--grid-points"],
+        ["sweep", "--parameter", "d", "--range", "1e-7", "2e-7", "--steps"],
+        ["verify", "--skip-quadrature", "--points"],
+    ],
+    ids=["intensity", "custom-grid", "sweep", "verify"],
+)
+def test_a_size_numpy_cannot_allocate_is_one_error_line(config_path, tmp_path, capsys, command, out):
+    # 1e15 float64 values, 7.1 PiB, exceed the address space: numpy refuses the array before any page is touched
+    target = ["--out", str(tmp_path / "out.csv")] if out else []
+    assert main([command[0], "--config", config_path, *command[1:], "1000000000000000", *target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: Unable to allocate ") and "Traceback" not in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 

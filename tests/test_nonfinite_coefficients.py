@@ -19,7 +19,7 @@ def test_intensity_exits_2_and_writes_nothing(tmp_path, capsys, key, value, name
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{k} = {value if k == key else v}\n" for k, v in RUBIDIUM.items()))
     out = tmp_path / "out.csv"
-    code = main(["intensity", "--config", str(config), "--grid-points", "5", "--out", str(out)])
+    code = main(["verify", "--skip-quadrature", "--config", str(config), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "error: non-normalizable closed form: amplitude=" in err

@@ -59,15 +59,21 @@ def test_out_of_range_divisor_is_named(tmp_path, capsys, command, key, value, na
 @pytest.mark.parametrize("argv", [["intensity"], ["states"], ["verify"]], ids=["intensity", "states", "verify"])
 @pytest.mark.parametrize("key", ["mass_kg", "hbar_Js"])
 def test_huge_mass_or_hbar_is_named_by_the_closed_form(tmp_path, capsys, argv, key):
-    # m^3 or hbar^3 past the float range makes a closed-form coefficient non-finite or zero, named by its check
+    # m^3 or hbar^3 past the float range makes a closed-form coefficient non-finite or zero, named by its check;
+    # only verify solves the closed form: intensity's loop chain is refused by its own check, and states reads neither
     config = _config(tmp_path, **{key: "1e200"})
     out = tmp_path / "out.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([*argv, "--config", str(config), "--out", str(out)])
-    assert code == 2
     err = capsys.readouterr().err
-    assert "error: non-normalizable closed form: amplitude=" in err and "Traceback" not in err and "Warning" not in err
+    assert "Traceback" not in err and "Warning" not in err
+    if argv == ["states"]:
+        assert code == 0 and out.read_text().startswith("post-slit composite state:\n")
+        return
+    assert code == 2
+    named = "non-normalizable closed form: amplitude=" if argv == ["verify"] else "non-normalizable Gaussian form: "
+    assert f"error: {named}" in err
     assert list(tmp_path.iterdir()) == [config]
 
 
