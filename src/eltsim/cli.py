@@ -37,8 +37,12 @@ Exit codes: 0 success, 2 configuration error (including bad flags, and a
 grid, sweep or verification size numpy cannot allocate), 3 verification
 failure, 4 I/O error. The parser owns the choices: an unknown
 branch, measurement or sweep parameter is argparse's exit 2 with its usage
-text, and ``--config`` and ``--out`` are declared once, for every
-subcommand. A flag's negative value may follow it after a space, exponent
+text. Each run builds only its own subcommand's parser: ``build_parser``
+declares each subcommand by its name, help line and flags function
+(``_COMMANDS``), every one of which adds ``--config`` and ``--out`` first,
+and ``_Subcommands`` calls that function only when ``parse_args``, or the
+subcommand's ``--help``, looks the name up; every help text and usage error
+is argparse's own. A flag's negative value may follow it after a space, exponent
 and float's digit-group underscores and all: ``--grid-min -1e-6`` is
 ``--grid-min=-1e-6``.
 CSV numbers use scientific notation with 17
@@ -317,15 +321,19 @@ def _text(buf: np.ndarray, compact: bool) -> np.ndarray:
     return buf[buf != 0] if compact else np.ascontiguousarray(buf)
 
 
+def _percent(x: np.ndarray) -> bytes:
+    """The (columns x rows) block ``x`` as Python's % text, encoded: a block holding a number the layout
+    cannot settle."""
+    return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist()).encode("ascii")
+
+
 def _block(*columns):
     """``csv_block``'s bytes, as a bytes-like object: a laid-out buffer, or Python's % text encoded."""
     x = np.stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
     if not x.shape[1]:
         return b""  # an empty buffer holds no strided view
     laid = _layout(x)
-    if laid is None:  # a number the layout cannot settle: the whole block is Python's % text
-        return "".join(",".join([_FMT % v for v in line]) + "\n" for line in x.T.tolist()).encode("ascii")
-    return _text(*laid)
+    return _percent(x) if laid is None else _text(*laid)
 
 
 def csv_block(*columns) -> str:
@@ -416,8 +424,9 @@ def profile_csv(profile: intensity.IntensityProfile):
     is laid out from its first m = n//2 rows, x < 0, a block at a time into one list, ``laid``: this thread
     lays out the even blocks and, where there are two blocks or more, one worker thread the odd ones. Rows
     m ... n - m, the centre row of an odd n, follow as they are, and the rows x > 0 are ``laid``'s buffers in
-    reverse order without x's sign byte, held until then, about 35 bytes per point. An uneven profile is that
-    layout with m = 0: every row as it is."""
+    reverse order without x's sign byte, held until then, about 35 bytes per point. A block whose layout is
+    None, and its mirror, are Python's % text, neither laid out again. An uneven profile is that layout with
+    m = 0: every row as it is."""
     vis = 0.0 if profile.visibility is None else profile.visibility
     grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
     yield b"x_m,intensity,visibility_pointwise\n"
@@ -429,8 +438,11 @@ def profile_csv(profile: intensity.IntensityProfile):
     laid = [None] * len(blocks)  # per block of x < 0: its buffer, None for Python's % text, or the worker's error
     ready, stop = threading.Semaphore(0), threading.Event()  # released per worker block; set as this generator ends
 
+    def stacked(rows):
+        return np.stack([grid[rows], values[rows], vis[rows]])
+
     def lay(k):
-        laid[k] = _layout(np.stack([grid[blocks[k]], values[blocks[k]], vis[blocks[k]]]))
+        laid[k] = _layout(stacked(blocks[k]))
 
     def work():
         for k in range(1, len(blocks), 2):
@@ -455,7 +467,7 @@ def profile_csv(profile: intensity.IntensityProfile):
                 ready.acquire()
                 if isinstance(laid[k], BaseException):
                     raise laid[k]
-            yield _block(grid[rows], values[rows], vis[rows]) if laid[k] is None else _text(*laid[k])
+            yield _percent(stacked(rows)) if laid[k] is None else _text(*laid[k])
     finally:  # a closed generator or an error stops the worker after its current block
         stop.set()
         if worker:
@@ -464,9 +476,8 @@ def profile_csv(profile: intensity.IntensityProfile):
         rows = slice(start, min(start + PROFILE_BLOCK, n - m))
         yield _block(grid[rows], values[rows], vis[rows])
     for rows, block in zip(blocks[::-1], laid[::-1]):  # x > 0: every number as at -x, less x's sign, a row's first byte
-        if block is None:
-            mirror = slice(n - rows.stop, n - rows.start)
-            yield _block(grid[mirror], values[mirror], vis[mirror])
+        if block is None:  # its mirror holds the same numbers the layout cannot settle
+            yield _percent(stacked(slice(n - rows.stop, n - rows.start)))
         else:
             buf, compact = block
             yield _text(buf[::-1, 1:], compact)
@@ -596,40 +607,97 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(number, re.IGNORECASE)
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """argparse's subparsers action, but each subcommand's parser is built only when its name is looked up: by
+    ``parse_args`` for the command it parses, or that command's ``--help``. The top-level help and usage and the
+    error for an unknown command read the names and help lines alone, as argparse's own action does. Like
+    ``_Parser`` it leans on argparse internals (``_SubParsersAction``, ``_ChoicesPseudoAction``), so CI runs every
+    help text on each Python of its matrix."""
+
+    class _Parsers(dict):
+        """Subcommand name -> parser; a name holds its flags function until its first lookup builds its parser."""
+
+        def __init__(self, prog_prefix: str, parser_class):
+            super().__init__()
+            self.prog_prefix, self.parser_class = prog_prefix, parser_class
+
+        def __getitem__(self, name):
+            parser = super().__getitem__(name)
+            if not isinstance(parser, argparse.ArgumentParser):
+                flags, parser = parser, self.parser_class(prog=f"{self.prog_prefix} {name}")  # as add_parser makes it
+                flags(parser)
+                self[name] = parser
+            return parser
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.choices = self._name_parser_map = self._Parsers(self._prog_prefix, self._parser_class)
+
+    def add_command(self, name: str, help: str, flags) -> None:
+        """Declare subcommand ``name`` with its top-level help line; ``flags(parser)`` adds its arguments once a
+        lookup builds its parser."""
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = flags
+
+
+def _file_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes, first after ``-h``."""
+    p.add_argument("--config", required=True, help="key=value configuration file")
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+
+
+def _intensity_flags(p: argparse.ArgumentParser) -> None:
+    _file_flags(p)
+    p.add_argument("--branch", choices=BRANCHES, default="elt")
+    p.add_argument("--grid-min", type=float, default=None, help="left grid edge, m")
+    p.add_argument("--grid-max", type=float, default=None, help="right grid edge, m")
+    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--raw", action="store_true", help="raw density instead of peak normalization")
+    p.set_defaults(func=cmd_intensity)
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    _file_flags(p)
+    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--skip-quadrature", action="store_true", help="skip the slow 2-D quadrature check")
+    p.add_argument("--corrupt-z", default=None, metavar="NAME",
+                   help="fault injection: corrupt one z-table entry (test mode)")
+    p.set_defaults(func=cmd_verify)
+
+
+def _states_flags(p: argparse.ArgumentParser) -> None:
+    _file_flags(p)
+    p.add_argument("--measurement", choices=MEASUREMENTS, default="none")
+    p.set_defaults(func=cmd_states)
+
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    _file_flags(p)
+    p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
+    p.add_argument("--range", type=float, nargs=2, required=True, metavar=("MIN", "MAX"))
+    p.add_argument("--steps", type=int, default=10)
+    p.set_defaults(func=cmd_sweep)
+
+
+# (name, top-level help line, flags function) per subcommand, in the order the help lists them
+_COMMANDS = (
+    ("intensity", "emit a screen intensity profile as CSV", _intensity_flags),
+    ("verify", "cross-check closed forms against the chain and quadrature", _verify_flags),
+    ("states", "report measurement branches and reduced densities", _states_flags),
+    ("sweep", "sweep one parameter and emit fringe metrics as CSV", _sweep_flags),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``eltsim`` parser. Only the subcommand that a command line names gets its parser built (``_Subcommands``)."""
     parser = _Parser(
         prog="eltsim",
         description="Double-slit matter-wave simulator isolating looped-trajectory interference.",
     )
     parser.add_argument("--version", action="version", version=f"eltsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
-    common.add_argument("--config", required=True, help="key=value configuration file")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    p_int = sub.add_parser("intensity", help="emit a screen intensity profile as CSV", parents=[common])
-    p_int.add_argument("--branch", choices=BRANCHES, default="elt")
-    p_int.add_argument("--grid-min", type=float, default=None, help="left grid edge, m")
-    p_int.add_argument("--grid-max", type=float, default=None, help="right grid edge, m")
-    p_int.add_argument("--grid-points", type=int, default=2001)
-    p_int.add_argument("--raw", action="store_true", help="raw density instead of peak normalization")
-    p_int.set_defaults(func=cmd_intensity)
-
-    p_ver = sub.add_parser("verify", help="cross-check closed forms against the chain and quadrature", parents=[common])
-    p_ver.add_argument("--points", type=int, default=101)
-    p_ver.add_argument("--skip-quadrature", action="store_true", help="skip the slow 2-D quadrature check")
-    p_ver.add_argument("--corrupt-z", default=None, metavar="NAME", help="fault injection: corrupt one z-table entry (test mode)")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_st = sub.add_parser("states", help="report measurement branches and reduced densities", parents=[common])
-    p_st.add_argument("--measurement", choices=MEASUREMENTS, default="none")
-    p_st.set_defaults(func=cmd_states)
-
-    p_sw = sub.add_parser("sweep", help="sweep one parameter and emit fringe metrics as CSV", parents=[common])
-    p_sw.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
-    p_sw.add_argument("--range", type=float, nargs=2, required=True, metavar=("MIN", "MAX"))
-    p_sw.add_argument("--steps", type=int, default=10)
-    p_sw.set_defaults(func=cmd_sweep)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, help, flags in _COMMANDS:
+        sub.add_command(name, help, flags)
     return parser
 
 

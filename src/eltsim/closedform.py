@@ -72,7 +72,9 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
     z_k = 1/(2 beta^2) + kappa_(k-1)^2 / 4 z_(k-1) - i (kappa_(k-1) + kappa_k)/2 for k = 1..3, where
     kappa = (k_t, lam, lam, k_tau) = (m/hbar t, m/2 hbar (epsilon + eta), m/2 hbar (epsilon + eta), m/hbar tau)
     are the wavenumbers of the flight t, the two loop segments at ``derived.span`` and the flight tau
-    (``_kinematics``). No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a positive real part."""
+    (``_kinematics``). No z_k vanishes: Re z0 = 1/(2 sigma0^2) > 0, and each stage adds to a positive real part.
+    Their products can underflow to 0, so every entry that a coefficient term divides by, z1 ... z10, is
+    checked here, before any term is made: a DegenerateConfigError names the first that vanished."""
     kt, ktau, lam, _ = _kinematics(config, derived)
     kappa = (kt, lam, lam, ktau)
     z = [1.0 / (2.0 * config.sigma0**2) - 0.5j * kt]
@@ -81,7 +83,7 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
     z0, z1, z2, z3 = z
 
     big_z = z0 * z1 * z2 * z3
-    return ZTable(
+    table = ZTable(
         z0=z0,
         z1=z1,
         z2=z2,
@@ -96,6 +98,11 @@ def build_ztable(config: PhysicsConfig, derived: DerivedQuantities) -> ZTable:
         gouy_zr=big_z.imag,
         gouy_zi=big_z.real,
     )
+    for name in ("z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "z9", "z10"):  # a coefficient term divides by each
+        check(getattr(table, name) != 0, config,
+              lambda at, where: f"z-table entry {name} vanishes{where}: a closed-form denominator underflowed to 0",
+              DegenerateConfigError)
+    return table
 
 
 def expanded_products(zt: ZTable) -> dict[str, complex]:

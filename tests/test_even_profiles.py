@@ -171,8 +171,8 @@ def test_an_even_profile_laid_out_on_two_threads_is_the_row_wise_text(monkeypatc
     before = threading.active_count()
     assert b"".join(profile_csv(profile)).decode("ascii") == _rowwise(profile)
     assert threading.active_count() == before
-    # the tie's block is laid out once more by the calling thread, which writes it with %
-    assert on_main == {k: {k % 2 == 0} | ({True} if k == tie else set()) for k in range(blocks)}
+    # every block is laid out once, the tie's too: the calling thread writes it and its mirror with % directly
+    assert on_main == {k: {k % 2 == 0} for k in range(blocks)}
     laid = [k == compact for k in range(blocks) if k != tie]
     assert compacted == laid + [False] * parity + laid[::-1]
     assert percent.calls == 2 * 3 * (PROFILE_BLOCK if tie < blocks - 1 else 7)

@@ -15,7 +15,7 @@ RUBIDIUM = {
 
 
 @pytest.mark.parametrize(("key", "value", "named"), [("d_m", "1e300", "c2=nan"), ("tau_s", "1e-170", "c1=inf")])
-def test_intensity_exits_2_and_writes_nothing(tmp_path, capsys, key, value, named):
+def test_verify_exits_2_and_writes_nothing(tmp_path, capsys, key, value, named):
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{k} = {value if k == key else v}\n" for k, v in RUBIDIUM.items()))
     out = tmp_path / "out.csv"

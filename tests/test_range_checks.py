@@ -185,6 +185,23 @@ def test_verify_at_a_huge_slit_width_fails_by_name_without_a_warning(tmp_path, c
         assert f"[FAIL] {record}: deviation nan " in captured.out
 
 
+@pytest.mark.parametrize("beta", ["1e88", "1e100"])
+@pytest.mark.parametrize("eta", ["1e300", "1e308"])
+@pytest.mark.parametrize("quadrature", [[], ["--skip-quadrature"]], ids=["quadrature", "skip"])
+def test_a_vanished_ztable_denominator_is_named(tmp_path, capsys, eta, beta, quadrature):
+    # at so long a loop the products z5 = z1^2 z2^2 z3, z8 and z9 underflow to 0, which a coefficient term divides by
+    config = _config(tmp_path, eta_s=eta, beta_m=beta)
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(config), *quadrature, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        "error: z-table entry z5 vanishes: a closed-form denominator underflowed to 0"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("command", [["verify", "--skip-quadrature"], ["intensity", "--grid-points", "3"]])
 def test_a_grid_wider_than_the_float_range_is_named(tmp_path, capsys, command):
     # at beta = 1e152 m gamma is subnormal, about -1e-314 1/m, and 5 pi/|gamma| is inf
