@@ -40,10 +40,11 @@ branch, measurement or sweep parameter is argparse's exit 2 with its usage
 text. Each run builds only its own subcommand's parser: ``build_parser``
 declares each subcommand by its name, help line and flags function
 (``_COMMANDS``), every one of which adds ``--config`` and ``--out`` first,
-and ``_Subcommands`` calls that function only when ``parse_args``, or the
-subcommand's ``--help``, looks the name up; every help text and usage error
-is argparse's own. A flag's negative value may follow it after a space, exponent
-and float's digit-group underscores and all: ``--grid-min -1e-6`` is
+and ``_Subcommands`` calls that function only when ``parse_args`` calls the
+subparsers action with that name, for the command it parses or its
+``--help``; every help text and usage error is argparse's own. A flag's
+negative value may follow it after a space, exponent and float's
+digit-group underscores and all: ``--grid-min -1e-6`` is
 ``--grid-min=-1e-6``.
 CSV numbers use scientific notation with 17
 significant digits so outputs are byte-reproducible across runs:
@@ -55,18 +56,19 @@ alone) is Python's ``%`` text whole, row by row. Every other block is
 written straight into its final bytes, each column in slots of one width;
 only a block in which some number leaves part of its slot unused (a column
 of both signs or of two- and three-digit exponents) is compacted after.
-``profile_csv`` writes a profile that is even bit for bit, as every
-default-grid profile is (``intensity`` module docstring), from its x < 0
-half: each x > 0 block is the byte buffer of its mirror block, rows
-reversed and x's sign byte dropped, compacted where that block was. The x < 0
-layouts are one list with a slot per block: the calling thread fills the even
-slots and, where there are two blocks or more, one worker thread the odd ones,
-so two blocks' temporaries are in flight at once. The x < 0 half is written
-from that list in order, a worker's exception raised at its block, and the
-x > 0 half from the list reversed; it holds the buffers, about 35 bytes per
-grid point, until then. No block of such a profile
-crosses x = 0; a custom grid through 0 is written block by block, and its
-block where x crosses 0 is compacted.
+``profile_csv`` lays out the rows it writes in order as one list with a slot
+per block: the calling thread fills the even slots and, where there are two
+blocks or more, one worker thread the odd ones, so two blocks' temporaries
+are in flight at once. The blocks are written from that list in order, a
+worker's exception raised at its block. Of a profile that is even bit for
+bit, as every default-grid profile is (``intensity`` module docstring), the
+list holds the x < 0 half alone: an odd grid's centre row follows it, and
+each x > 0 block is the byte buffer of its mirror block, rows reversed and
+x's sign byte dropped, compacted where that block was, written from the list
+reversed; the list holds the buffers, about 35 bytes per grid point, until
+then. No block of such a profile crosses x = 0. The list of an uneven
+profile, such as a custom grid through 0, holds all its rows and drops each
+buffer once it is written; its block where x crosses 0 is compacted.
 A manifest's timestamp is ``SOURCE_DATE_EPOCH`` when that is set.
 
 The ``eltsim`` console script and ``python -m eltsim.cli`` run ``console``:
@@ -120,13 +122,14 @@ SWEEP_CHAIN = 4096  # configurations per loop-12 chain: a 2000-step sweep still 
 SWEEP_BLOCK = 1024  # sweep CSV rows per block: a block's ~80 numpy calls cost more than 256 rows of numbers. A warm
 # 2000-step sweep took 10.1 ms at 256 rows, 9.0 ms at 1024 (1.13 MB tracemalloc peak) and 8.7 ms at 2048, at 1.69 MB
 # over the 1.42 MB budget of tests/test_cli.py::test_sweep_block_memory_budget (medians, 2-vCPU shared machine)
-PROFILE_BLOCK = 6144  # intensity CSV rows per block: 0.43 MB of bytes at a 1.55 MB tracemalloc peak (budget 2 MB)
-# per csv_block call, 252 B per row, as _scaled and _digits drop each temporary once it is dead. Two threads lay out
-# an even profile's x < 0 blocks, two blocks' temporaries at once, beside its held buffers: 7 MB at 200001 points
-# (8.0-9.1 MB peak, by the threads' timing). Two threads lay out blocks 1.02x as fast as one at 4096 rows, whose
-# numpy calls are too short to outlast a GIL handoff, 1.41x at 6144 and 1.63x at 8192 (2-vCPU shared machine). The
-# profile's own evaluation peaks lower, 7.2 MB for full and 5.0 MB for elt at 200001 points, so the writer sets the
-# peak of a dense intensity command
+PROFILE_BLOCK = 6144  # intensity CSV rows per block: 0.43 MB of bytes at a 1.55 MB tracemalloc peak (budget 2 MB) per
+# csv_block call, 252 B per row, as _scaled and _digits drop each temporary once it is dead. Two threads lay out a
+# profile's blocks, two blocks' temporaries at once, beside the buffers it holds: an even profile's x < 0 blocks until
+# its x > 0 half is written, 7 MB at 200001 points (8.0-9.1 MB peak, by the threads' timing), an uneven profile's only
+# until each is written (3.5-4.3 MB peak at 200001 points). Two threads lay out blocks 1.02x as fast as one at 4096
+# rows, whose numpy calls are too short to outlast a GIL handoff, 1.41x at 6144 and 1.63x at 8192 (2-vCPU shared
+# machine). The profile's own evaluation peaks lower, 7.2 MB for full and 5.0 MB for elt at 200001 points, so the writer
+# sets the peak of a dense intensity command
 
 # ``_block`` writes ``_FMT`` in numpy (fixed-precision %e as in Adams, "Ryu revisited", OOPSLA 2019).
 # A finite x != 0 is |x| = y * 10**(E - 16) with y in [1e16, 1e17); its 17 digits are the integer
@@ -420,22 +423,22 @@ def branch_profile(branch: str, grid, config: PhysicsConfig, coeffs: intensity.E
 
 
 def profile_csv(profile: intensity.IntensityProfile):
-    """The profile's CSV bytes: the header, then ``PROFILE_BLOCK`` rows per block. A profile even bit for bit
-    is laid out from its first m = n//2 rows, x < 0, a block at a time into one list, ``laid``: this thread
-    lays out the even blocks and, where there are two blocks or more, one worker thread the odd ones. Rows
-    m ... n - m, the centre row of an odd n, follow as they are, and the rows x > 0 are ``laid``'s buffers in
-    reverse order without x's sign byte, held until then, about 35 bytes per point. A block whose layout is
-    None, and its mirror, are Python's % text, neither laid out again. An uneven profile is that layout with
-    m = 0: every row as it is."""
+    """The profile's CSV bytes: the header, then ``PROFILE_BLOCK`` rows per block. The rows it lays out, the
+    first m = n//2 (x < 0) of a profile even bit for bit or every row of an uneven one, go a block at a time
+    into one list, ``laid``: this thread lays out the even blocks and, where there are two blocks or more, one
+    worker thread the odd ones. They are written from it in order; an uneven profile drops each buffer once it
+    is written. Of an even profile the centre row of an odd n follows as it is, then the rows x > 0: ``laid``'s
+    buffers in reverse order without x's sign byte, held until then, about 35 bytes per point. A block whose
+    layout is None, and its mirror, are Python's % text, neither laid out again."""
     vis = 0.0 if profile.visibility is None else profile.visibility
     grid, values, vis = np.broadcast_arrays(*(np.asarray(c, np.float64) for c in (profile.grid, profile.values, vis)))
     yield b"x_m,intensity,visibility_pointwise\n"
     n, m = grid.size, grid.size // 2
-    if not (np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
-            np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))):
-        m = 0
+    even = np.array_equal(grid[:m], -grid[::-1][:m]) and all(  # bit for bit: -0.0 == 0.0, but not in text
+        np.array_equal(column[:m].view(np.int64), column[::-1][:m].view(np.int64)) for column in (values, vis))
+    m = m if even else n  # the rows laid out
     blocks = [slice(start, min(start + PROFILE_BLOCK, m)) for start in range(0, m, PROFILE_BLOCK)]
-    laid = [None] * len(blocks)  # per block of x < 0: its buffer, None for Python's % text, or the worker's error
+    laid = [None] * len(blocks)  # per block laid out: its buffer, None for Python's % text, or the worker's error
     ready, stop = threading.Semaphore(0), threading.Event()  # released per worker block; set as this generator ends
 
     def stacked(rows):
@@ -468,13 +471,16 @@ def profile_csv(profile: intensity.IntensityProfile):
                 if isinstance(laid[k], BaseException):
                     raise laid[k]
             yield _percent(stacked(rows)) if laid[k] is None else _text(*laid[k])
+            if not even:
+                laid[k] = None
     finally:  # a closed generator or an error stops the worker after its current block
         stop.set()
         if worker:
             worker.join()
-    for start in range(m, n - m, PROFILE_BLOCK):
-        rows = slice(start, min(start + PROFILE_BLOCK, n - m))
-        yield _block(grid[rows], values[rows], vis[rows])
+    if not even:
+        return
+    if n % 2:
+        yield _block(grid[m:m + 1], values[m:m + 1], vis[m:m + 1])
     for rows, block in zip(blocks[::-1], laid[::-1]):  # x > 0: every number as at -x, less x's sign, a row's first byte
         if block is None:  # its mirror holds the same numbers the layout cannot settle
             yield _percent(stacked(slice(n - rows.stop, n - rows.start)))
@@ -608,36 +614,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Subcommands(argparse._SubParsersAction):
-    """argparse's subparsers action, but each subcommand's parser is built only when its name is looked up: by
-    ``parse_args`` for the command it parses, or that command's ``--help``. The top-level help and usage and the
-    error for an unknown command read the names and help lines alone, as argparse's own action does. Like
-    ``_Parser`` it leans on argparse internals (``_SubParsersAction``, ``_ChoicesPseudoAction``), so CI runs every
-    help text on each Python of its matrix."""
-
-    class _Parsers(dict):
-        """Subcommand name -> parser; a name holds its flags function until its first lookup builds its parser."""
-
-        def __init__(self, prog_prefix: str, parser_class):
-            super().__init__()
-            self.prog_prefix, self.parser_class = prog_prefix, parser_class
-
-        def __getitem__(self, name):
-            parser = super().__getitem__(name)
-            if not isinstance(parser, argparse.ArgumentParser):
-                flags, parser = parser, self.parser_class(prog=f"{self.prog_prefix} {name}")  # as add_parser makes it
-                flags(parser)
-                self[name] = parser
-            return parser
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.choices = self._name_parser_map = self._Parsers(self._prog_prefix, self._parser_class)
+    """argparse's subparsers action, but each subcommand's parser is built only when the action is called with its
+    name: by ``parse_args`` for the command it parses, or that command's ``--help``. Until then its slot in
+    argparse's own name map (also the action's ``choices``) holds its flags function. The top-level help and
+    usage and the error for an unknown command read the names and help lines alone, as argparse's own action
+    does; in Python 3.10-3.13 only ``__call__`` and ``add_parser`` look a subparser up. Like ``_Parser`` it leans
+    on argparse internals (``_SubParsersAction``, ``_ChoicesPseudoAction``), so CI runs every help text on each
+    Python of its matrix."""
 
     def add_command(self, name: str, help: str, flags) -> None:
         """Declare subcommand ``name`` with its top-level help line; ``flags(parser)`` adds its arguments once a
-        lookup builds its parser."""
+        call with the name builds its parser."""
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
         self._name_parser_map[name] = flags
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # a name of the choices: argparse checked it first
+        flags = self._name_parser_map[name]
+        if not isinstance(flags, argparse.ArgumentParser):
+            self._name_parser_map[name] = sub = self._parser_class(prog=f"{self._prog_prefix} {name}")  # as add_parser
+            flags(sub)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _file_flags(p: argparse.ArgumentParser) -> None:

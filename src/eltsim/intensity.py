@@ -332,7 +332,7 @@ def aggregate_visibility(coeffs: EltCoefficients, config: PhysicsConfig):
     coefficients overflow on the lattice.
     """
     gamma = np.asarray(coeffs.gamma, dtype=float)
-    k = np.abs(_LATTICE_K)  # the window is even in k bit for bit
+    k = np.abs(_LATTICE_K)  # the window is even in k bit for bit: a lattice with k < 0 too folds onto k >= 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a degenerate row is named below
         h = np.pi / np.abs(gamma) / 80.0
         a = (2.0 * coeffs.c1 * h * h)[..., None]  # a column per configuration, against the lattice's k
